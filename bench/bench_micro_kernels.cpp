@@ -10,6 +10,7 @@
 // --no-obs-sweep.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -316,13 +317,15 @@ void run_obs_sweep(const std::string& path) {
 
 // --- blocked GEMM sweep (BENCH_gemm.json) ------------------------------------
 
-/// Naive vs blocked dense kernels on square and decode-skinny shapes, plus
-/// the packed integer kernel vs the dequantize-to-fp32-then-matmul path it
-/// replaces, plus a thread sweep of the blocked kernel on the largest dense
-/// shape. Every pairing is bitwise identical by construction (tensor/gemm.hpp,
+/// Naive vs blocked dense kernels on square and decode-skinny shapes and on
+/// the adaptation step's TN and per-head batched shapes, plus the packed
+/// integer kernel vs the dequantize-to-fp32-then-matmul path it replaces,
+/// plus a thread sweep of the blocked kernel on the largest dense shape.
+/// Every pairing is bitwise identical by construction (tensor/gemm.hpp,
 /// asserted by ctest -L gemm) — this measures only the speed side.
 /// Returns false (after writing the JSON) when the blocked kernel loses to
-/// the naive one on the largest dense NT shape, the CI perf-smoke gate.
+/// the naive one on the largest dense NT shape or on any adaptation TN
+/// shape, the CI perf-smoke gate.
 bool run_gemm_sweep(const std::string& path) {
   Rng rng(9);
   std::ofstream js(path);
@@ -332,11 +335,12 @@ bool run_gemm_sweep(const std::string& path) {
 
   const auto emit = [&](const std::string& kind, int bits, int64_t m, int64_t k, int64_t n,
                         int64_t threads, double base_ms, double ours_ms,
-                        const char* baseline_name) {
+                        const char* baseline_name, int64_t batch = 1) {
     if (!first) js << ",\n";
     first = false;
-    js << "    {\"kind\": \"" << kind << "\", \"bits\": " << bits << ", \"m\": " << m
-       << ", \"k\": " << k << ", \"n\": " << n << ", \"threads\": " << threads << ", \""
+    js << "    {\"kind\": \"" << kind << "\", \"bits\": " << bits << ", \"batch\": " << batch
+       << ", \"m\": " << m << ", \"k\": " << k << ", \"n\": " << n
+       << ", \"threads\": " << threads << ", \""
        << baseline_name << "_ms\": " << base_ms << ", \"blocked_ms\": " << ours_ms
        << ", \"speedup\": " << base_ms / ours_ms << "}";
   };
@@ -372,6 +376,49 @@ bool run_gemm_sweep(const std::string& path) {
     });
     emit("nt", 32, s.m, s.k, s.n, 1, nt_naive, nt_blocked, "naive");
     if (s.m == 256) largest_dense_speedup = nt_naive / nt_blocked;
+  }
+
+  // The adaptation step's training shapes (batch 8 x seq 32 = 256 rows,
+  // d_model 64, d_ff 256, 4 heads of 16): the weight gradients dW = g^T x
+  // as TN GEMMs, and attention as 32 per-head GEMMs of 32x32x16 — the
+  // batched NN (probs @ v), NT (q @ k^T) and TN (probs^T @ grad_ctx).
+  double adapt_tn_speedup_min = 1e300;
+  for (const Mkn& s : {Mkn{64, 256, 64}, Mkn{256, 256, 64}, Mkn{64, 256, 256}}) {
+    const Tensor at = randn({s.k, s.m}, rng);
+    const Tensor b = randn({s.k, s.n}, rng);
+    const auto blk = ops::gemm::blocking_for(ops::gemm::GemmKind::kTN, s.m, s.k, s.n);
+    const double naive = min_time_ms(5, 1, [&] {
+      benchmark::DoNotOptimize(ops::gemm::matmul_tn_naive(at, b));
+    });
+    const double blocked = min_time_ms(5, 1, [&] {
+      benchmark::DoNotOptimize(ops::gemm::matmul_tn_blocked(at, b, blk));
+    });
+    emit("tn", 32, s.m, s.k, s.n, 1, naive, blocked, "naive");
+    adapt_tn_speedup_min = std::min(adapt_tn_speedup_min, naive / blocked);
+  }
+  {
+    const int64_t heads = 32, t = 32, dh = 16;
+    const Tensor probs = randn({heads, t, t}, rng);
+    const Tensor v = randn({heads, t, dh}, rng);
+    const Tensor q = randn({heads, t, dh}, rng);
+    const auto time_pair = [&](const char* kind, int64_t m, int64_t k, int64_t n, auto&& naive,
+                               auto&& blocked) {
+      const double naive_ms = min_time_ms(5, 1, naive);
+      const double blocked_ms = min_time_ms(5, 1, blocked);
+      emit(kind, 32, m, k, n, 1, naive_ms, blocked_ms, "naive", heads);
+    };
+    const auto nn = ops::gemm::blocking_for(ops::gemm::GemmKind::kNN, t, t, dh);
+    const auto nt = ops::gemm::blocking_for(ops::gemm::GemmKind::kNT, t, dh, t);
+    const auto tn = ops::gemm::blocking_for(ops::gemm::GemmKind::kTN, t, t, dh);
+    time_pair(
+        "bmm", t, t, dh, [&] { benchmark::DoNotOptimize(ops::gemm::bmm_naive(probs, v)); },
+        [&] { benchmark::DoNotOptimize(ops::gemm::bmm_blocked(probs, v, nn)); });
+    time_pair(
+        "bmm_nt", t, dh, t, [&] { benchmark::DoNotOptimize(ops::gemm::bmm_nt_naive(q, v)); },
+        [&] { benchmark::DoNotOptimize(ops::gemm::bmm_nt_blocked(q, v, nt)); });
+    time_pair(
+        "bmm_tn", t, t, dh, [&] { benchmark::DoNotOptimize(ops::gemm::bmm_tn_naive(probs, v)); },
+        [&] { benchmark::DoNotOptimize(ops::gemm::bmm_tn_blocked(probs, v, tn)); });
   }
 
   // Packed integer weights at the decode shapes: the blocked integer kernel
@@ -492,23 +539,45 @@ bool run_gemm_sweep(const std::string& path) {
       benchmark::DoNotOptimize(ops::rms_norm_lastdim(nx, gain, 1e-5f));
     });
     emit("rmsnorm_simd", 32, 64, 0, 1024, 1, rn_scalar, rn_vector, "scalar_simd");
+
+    // GELU and its gradient over the adaptation MLP's 256 x 256 = 64k
+    // activations (the scalar rows are the sigmoid-form reference).
+    const Tensor gx = randn({256, 256}, rng);
+    const Tensor gg = randn({256, 256}, rng);
+    const double ge_scalar = timed_under("scalar", [&] {
+      benchmark::DoNotOptimize(ops::gelu(gx));
+    });
+    const double ge_vector = timed_under(native, [&] {
+      benchmark::DoNotOptimize(ops::gelu(gx));
+    });
+    emit("gelu_simd", 32, 256, 0, 256, 1, ge_scalar, ge_vector, "scalar_simd");
+    const double gg_scalar = timed_under("scalar", [&] {
+      benchmark::DoNotOptimize(ops::gelu_grad(gx, gg));
+    });
+    const double gg_vector = timed_under(native, [&] {
+      benchmark::DoNotOptimize(ops::gelu_grad(gx, gg));
+    });
+    emit("gelu_grad_simd", 32, 256, 0, 256, 1, gg_scalar, gg_vector, "scalar_simd");
   }
   if (!have_vector) simd_dequant_speedup_min = 1.0;
 
   js << "\n  ],\n  \"largest_dense_nt_speedup\": " << largest_dense_speedup
+     << ",\n  \"adapt_tn_min_speedup\": " << adapt_tn_speedup_min
      << ",\n  \"simd_isa\": \"" << simd::to_string(simd::detected_isa())
      << "\",\n  \"simd_nt256_speedup\": " << simd_gemm_speedup
      << ",\n  \"simd_dequant_dot_min_speedup\": " << simd_dequant_speedup_min << "\n}\n";
   std::cout << "gemm sweep: blocked NT speedup at 256^3 = " << largest_dense_speedup
-            << "x vs naive; simd (" << simd::to_string(simd::detected_isa())
+            << "x vs naive; blocked TN min over the adapt shapes = " << adapt_tn_speedup_min
+            << "x; simd (" << simd::to_string(simd::detected_isa())
             << ") vs scalar at 256^3 NT = " << simd_gemm_speedup
             << "x, fused dequant-dot min = " << simd_dequant_speedup_min << "x; wrote " << path
             << "\n";
-  // Gate: blocked must beat naive, and on hosts with a vector backend the
-  // vectorized kernels must beat forced-scalar. The bars are deliberately
-  // below the typical 2-4x so scheduler noise on shared CI runners can't
-  // flake the job; the committed BENCH_gemm.json records the real margins.
-  bool ok = largest_dense_speedup >= 1.0;
+  // Gate: blocked must beat naive (largest dense NT, every adapt TN shape),
+  // and on hosts with a vector backend the vectorized kernels must beat
+  // forced-scalar. The bars are deliberately below the typical 2-4x so
+  // scheduler noise on shared CI runners can't flake the job; the committed
+  // BENCH_gemm.json records the real margins.
+  bool ok = largest_dense_speedup >= 1.0 && adapt_tn_speedup_min >= 1.0;
   if (have_vector) {
     ok = ok && simd_gemm_speedup >= 1.3 && simd_dequant_speedup_min >= 1.0;
   }
@@ -543,8 +612,9 @@ int main(int argc, char** argv) {
   if (gemm_sweep || check_gemm) {
     const bool ok = run_gemm_sweep("BENCH_gemm.json");
     if (check_gemm && !ok) {
-      std::cerr << "gemm sweep: blocked kernel lost to naive on the largest dense shape, "
-                   "or the vectorized kernels lost to forced-scalar dispatch\n";
+      std::cerr << "gemm sweep: blocked kernel lost to naive on the largest dense shape or "
+                   "an adapt TN shape, or the vectorized kernels lost to forced-scalar "
+                   "dispatch\n";
       return 1;
     }
   }

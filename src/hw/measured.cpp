@@ -282,9 +282,11 @@ TuneResult MeasuredBackend::tune(ops::gemm::GemmKind kind, int64_t m, int64_t k,
   // bitwise contract noise can only change speed, never results.
   const uint64_t seed = 0x5EEDull ^ (static_cast<uint64_t>(m) << 32) ^
                         (static_cast<uint64_t>(k) << 16) ^ static_cast<uint64_t>(n);
-  const Tensor a = seeded_operand({m, k}, seed);
-  const Tensor b = kind == GemmKind::kNN ? seeded_operand({k, n}, seed + 1)
-                                         : seeded_operand({n, k}, seed + 1);
+  const Tensor a =
+      kind == GemmKind::kTN ? seeded_operand({k, m}, seed) : seeded_operand({m, k}, seed);
+  const Tensor b = kind == GemmKind::kNN || kind == GemmKind::kTN
+                       ? seeded_operand({k, n}, seed + 1)
+                       : seeded_operand({n, k}, seed + 1);
   quant::PackedMatrix pw;
   if (packed) pw = quant::PackedMatrix::pack(b, bits);
 
@@ -316,6 +318,7 @@ TuneResult MeasuredBackend::tune(ops::gemm::GemmKind kind, int64_t m, int64_t k,
         case GemmKind::kNN: (void)ops::gemm::matmul_blocked(a, b, blk); break;
         case GemmKind::kNT: (void)ops::gemm::matmul_nt_blocked(a, b, blk); break;
         case GemmKind::kPackedNT: (void)quant::packed_matmul_nt_blocked(a, pw, blk); break;
+        case GemmKind::kTN: (void)ops::gemm::matmul_tn_blocked(a, b, blk); break;
       }
     });
     if (ms < result.best_ms) {
@@ -330,6 +333,7 @@ TuneResult MeasuredBackend::tune(ops::gemm::GemmKind kind, int64_t m, int64_t k,
       case GemmKind::kNN: (void)ops::gemm::matmul_naive(a, b); break;
       case GemmKind::kNT: (void)ops::gemm::matmul_nt_naive(a, b); break;
       case GemmKind::kPackedNT: (void)ops::matmul_nt(a, pw.dequantize()); break;
+      case GemmKind::kTN: (void)ops::gemm::matmul_tn_naive(a, b); break;
     }
   });
 

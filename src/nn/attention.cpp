@@ -141,13 +141,11 @@ Tensor MultiHeadAttention::backward(const Tensor& grad_out) {
   const Tensor grad_merged = o_->backward(grad_out);
   const Tensor grad_ctx = split_heads(grad_merged, b, t, n_heads_);  // [B*H, T, Dh]
 
-  // ctx = probs @ v. The zero-skip kernel is safe here: probs rows sum to 1
-  // (a whole row can never be zero), so any NaN/Inf in grad_ctx still
-  // reaches grad_v through the row's nonzero weights, and a NaN in probs
-  // itself is != 0 and never skipped. The causal mask zeroes ~half of
-  // probs exactly (softmax of -1e30 underflows), which the skip exploits.
-  const Tensor grad_probs = ops::bmm_nt(grad_ctx, v_heads_);   // [B*H, T, T]
-  const Tensor grad_v = ops::bmm_tn_skipzero(probs_, grad_ctx);  // [B*H, T, Dh]
+  // ctx = probs @ v. grad_v runs the dense blocked TN kernel: the causal
+  // mask's exact zeros in probs cost their MACs but keep IEEE propagation,
+  // and on finite inputs a skipped +0 term never changed a sum anyway.
+  const Tensor grad_probs = ops::bmm_nt(grad_ctx, v_heads_);  // [B*H, T, T]
+  const Tensor grad_v = ops::bmm_tn(probs_, grad_ctx);        // [B*H, T, Dh]
 
   // probs = softmax(scores); masked positions have probs == 0, so the
   // softmax backward already yields zero grad there.

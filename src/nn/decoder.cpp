@@ -299,13 +299,13 @@ void batched_decode_step(CausalLm& model, std::span<BatchedSeq> seqs,
 }
 
 Tensor decode_step(CausalLm& model, KvCache& cache, int64_t position, int64_t token,
-                   int64_t exit_layer) {
+                   int64_t exit_layer, const DecodeWeightCache* weights) {
   BatchedSeq s;
   s.cache = &cache;
   s.position = position;
   s.token = token;
   s.exit_layer = exit_layer;
-  batched_decode_step(model, std::span<BatchedSeq>(&s, 1));
+  batched_decode_step(model, std::span<BatchedSeq>(&s, 1), weights);
   return std::move(s.logits.at(0));
 }
 
@@ -465,6 +465,7 @@ IncrementalDecoder::IncrementalDecoder(CausalLm& model, int64_t exit_layer, bool
 
 void IncrementalDecoder::reset() {
   cache_.clear();
+  weights_ = DecodeWeightCache();
   position_ = 0;
   logits_ = Tensor();
 }
@@ -473,15 +474,18 @@ void IncrementalDecoder::prime(const std::vector<int64_t>& prompt) {
   check_arg(!prompt.empty(), "IncrementalDecoder: empty prompt");
   reset();
   model_.set_eval();  // training may have re-enabled caching since the ctor
+  // One effective-weight rebuild (prune + fake-quant) per prime instead of
+  // one per layer per token.
+  weights_.build(model_);
   for (int64_t t : prompt) {
-    logits_ = decode_step(model_, cache_, position_, t, exit_layer_);
+    logits_ = decode_step(model_, cache_, position_, t, exit_layer_, &weights_);
     ++position_;
   }
 }
 
 void IncrementalDecoder::step(int64_t token) {
   check_arg(position_ > 0, "IncrementalDecoder: call prime() first");
-  logits_ = decode_step(model_, cache_, position_, token, exit_layer_);
+  logits_ = decode_step(model_, cache_, position_, token, exit_layer_, &weights_);
   ++position_;
 }
 

@@ -127,8 +127,9 @@ void batched_decode_step(CausalLm& model, std::span<BatchedSeq> seqs,
 
 /// Single-sequence convenience wrapper over batched_decode_step: feeds
 /// `token` at `position`, returns logits at `exit_layer` (0 = final).
+/// `weights` as for batched_decode_step.
 Tensor decode_step(CausalLm& model, KvCache& cache, int64_t position, int64_t token,
-                   int64_t exit_layer);
+                   int64_t exit_layer, const DecodeWeightCache* weights = nullptr);
 
 /// Like decode_step but returns logits at every registered exit (the
 /// serving engine's voted-exit decode path).
@@ -182,18 +183,26 @@ SpeculativeResult speculative_decode_step(CausalLm& model, KvSequenceView& cache
 /// With `quantize_kv`, cached keys/values are stored as per-position int8
 /// (symmetric, one scale per cached vector) — 4x less cache memory for a
 /// small numeric perturbation; the edge-standard KV compression.
+///
+/// prime() snapshots the model's effective weights into a DecodeWeightCache
+/// once, and every prompt token and step() decodes against that snapshot
+/// (bitwise identical to the uncached decode_step). Contract: re-prime
+/// after any weight update or compression change — step() keeps decoding
+/// against the weights as they were at the last prime().
 class IncrementalDecoder {
  public:
   explicit IncrementalDecoder(CausalLm& model, int64_t exit_layer = 0,
                               bool quantize_kv = false);
 
-  /// Resets the cache and runs the prompt through the model.
+  /// Resets the cache, snapshots the current weights, and runs the prompt
+  /// through the model.
   void prime(const std::vector<int64_t>& prompt);
 
   /// Appends one token and updates the cache.
   void step(int64_t token);
 
-  /// Drops all cached state; the decoder is ready for a fresh prime().
+  /// Drops all cached state (KV and weight snapshot); the decoder is ready
+  /// for a fresh prime().
   void reset();
 
   /// Next-token logits [vocab] after the last prime()/step().
@@ -217,6 +226,7 @@ class IncrementalDecoder {
   int64_t exit_layer_;
   int64_t position_ = 0;
   KvCache cache_;
+  DecodeWeightCache weights_;  ///< effective weights as of the last prime()
   Tensor logits_;
 };
 

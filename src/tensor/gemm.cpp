@@ -76,7 +76,7 @@ inline void assert_panel_aligned(const float* out) {
   (void)out;
 }
 
-// B stored [k, n] (NN kernel): panel[js][p][jr] = B[p0 + p][j0 + js*kNr + jr].
+// B stored [k, n] (NN and TN kernels): panel[js][p][jr] = B[p0 + p][j0 + js*kNr + jr].
 void pack_panel_nn(const float* b, int64_t n, int64_t p0, int64_t pc, int64_t j0, int64_t jc,
                    float* out) {
   assert_panel_aligned(out);
@@ -142,60 +142,160 @@ namespace {
 
 // --- blocked driver ---------------------------------------------------------
 //
-// Shared by NN and NT: the two differ only in how B panels are packed.
-// Loop nest: j-blocks (NC) outer, k-blocks (KC) inside, so each output
-// element accumulates its k-blocks in ascending order; within a (j, k)
-// block the caller thread packs the panel once, then a parallel_for over
-// kMr row strips runs the micro-kernels. Chunks own disjoint C rows, so
-// any partition is bitwise identical to serial. The tile kernel (default
-// or fast_math) is resolved from the dispatch table once per call.
-template <bool transposed_b>
-void gemm_blocked_2d(const float* pa, const float* pb, float* pc_out, int64_t m, int64_t k,
-                     int64_t n, const Blocking& blk, bool fast_math) {
-  const int64_t kc = std::max<int64_t>(1, std::min(blk.kc, k));
-  const int64_t nc = std::max(kNr, std::min(blk.nc, ((n + kNr - 1) / kNr) * kNr));
-  const int64_t strips_m = (m + kMr - 1) / kMr;
-  const int64_t strip_grain = std::max<int64_t>(1, blk.mc / kMr);
+// One driver serves NN, NT and TN: the layouts differ only in how B panels
+// are packed and how an A row strip is addressed. Loop nest: j-blocks (NC)
+// outer, k-blocks (KC) inside, so each output element accumulates its
+// k-blocks in ascending order; within a (j, k) block the panel is packed
+// once, then the kMr row strips run the micro-kernels. Strips own disjoint
+// C rows, so any partition is bitwise identical to serial.
 
-  const simd::KernelTable& kt = simd::kernels();
-  const auto tile = fast_math ? kt.gemm_tile_fast : kt.gemm_tile;
+using TileFn = decltype(simd::KernelTable::gemm_tile);
 
-  std::vector<float, simd::PanelAllocator<float>> panel(
-      static_cast<size_t>(((nc + kNr - 1) / kNr) * kc * kNr));
-  for (int64_t j0 = 0; j0 < n; j0 += nc) {
-    const int64_t jc = std::min(nc, n - j0);
-    const int64_t jstrips = (jc + kNr - 1) / kNr;
-    for (int64_t p0 = 0; p0 < k; p0 += kc) {
-      const int64_t pc = std::min(kc, k - p0);
-      if (transposed_b) {
-        pack_panel_nt(pb, k, p0, pc, j0, jc, panel.data());
-      } else {
-        pack_panel_nn(pb, n, p0, pc, j0, jc, panel.data());
+// Shape, schedule and tile kernel of one call, shared by its batch slices.
+struct Plan {
+  GemmKind kind;
+  int64_t m, k, n;
+  int64_t kc, nc, strip_grain;
+  TileFn tile;
+
+  Plan(GemmKind kind_, int64_t m_, int64_t k_, int64_t n_, const Blocking& blk, bool fast_math)
+      : kind(kind_), m(m_), k(k_), n(n_) {
+    kc = std::max<int64_t>(1, std::min(blk.kc, k));
+    nc = std::max(kNr, std::min(blk.nc, ((n + kNr - 1) / kNr) * kNr));
+    strip_grain = std::max<int64_t>(1, blk.mc / kMr);
+    const simd::KernelTable& kt = simd::kernels();
+    tile = fast_math ? kt.gemm_tile_fast : kt.gemm_tile;
+  }
+  int64_t strips_m() const { return (m + kMr - 1) / kMr; }
+  size_t panel_floats() const { return static_cast<size_t>(((nc + kNr - 1) / kNr) * kc * kNr); }
+  // Room for one transposed A strip (TN only; NN/NT tile straight from A).
+  size_t strip_floats() const { return kind == GemmKind::kTN ? static_cast<size_t>(kMr * kc) : 0; }
+};
+
+using PanelBuffer = std::vector<float, simd::PanelAllocator<float>>;
+
+// Runs row strips [lo, hi) of one (j-block, k-block). For TN the strip's
+// A^T rows are gathered from A's columns into `abuf` ([mr][pc]); the copy
+// is exact, so the micro-kernel sees the same operands either way.
+void run_strips(const Plan& pl, const float* a, const float* panel, float* c, int64_t j0,
+                int64_t jc, int64_t p0, int64_t pc, int64_t lo, int64_t hi, float* abuf) {
+  const int64_t jstrips = (jc + kNr - 1) / kNr;
+  for (int64_t is = lo; is < hi; ++is) {
+    const int64_t i0 = is * kMr;
+    const int64_t mr = std::min(kMr, pl.m - i0);
+    const float* arow = a + i0 * pl.k + p0;
+    int64_t lda = pl.k;
+    if (pl.kind == GemmKind::kTN) {
+      for (int64_t p = 0; p < pc; ++p) {
+        const float* src = a + (p0 + p) * pl.m + i0;
+        for (int64_t r = 0; r < mr; ++r) abuf[r * pc + p] = src[r];
       }
-      const float* bp = panel.data();
-      parallel::parallel_for(0, strips_m, strip_grain, [=](int64_t lo, int64_t hi) {
-        for (int64_t is = lo; is < hi; ++is) {
-          const int64_t i0 = is * kMr;
-          const int64_t mr = std::min(kMr, m - i0);
-          const float* arow = pa + i0 * k + p0;
-          for (int64_t js = 0; js < jstrips; ++js) {
-            const int64_t j = j0 + js * kNr;
-            const int64_t nr = std::min(kNr, j0 + jc - j);
-            tile(arow, k, bp + js * pc * kNr, pc, pc_out + i0 * n + j, n, mr, nr);
-          }
-        }
+      arow = abuf;
+      lda = pc;
+    }
+    for (int64_t js = 0; js < jstrips; ++js) {
+      const int64_t j = j0 + js * kNr;
+      const int64_t nr = std::min(kNr, j0 + jc - j);
+      pl.tile(arow, lda, panel + js * pc * kNr, pc, c + i0 * pl.n + j, pl.n, mr, nr);
+    }
+  }
+}
+
+// One GEMM slice C = op(A) op(B). With `parallel_strips` the row strips of
+// each block fan out over the pool (each chunk gathers TN strips into its
+// own buffer); otherwise they run inline with the caller's `abuf`.
+void gemm_slice(const Plan& pl, const float* a, const float* b, float* c, float* panel,
+                bool parallel_strips, float* abuf) {
+  for (int64_t j0 = 0; j0 < pl.n; j0 += pl.nc) {
+    const int64_t jc = std::min(pl.nc, pl.n - j0);
+    for (int64_t p0 = 0; p0 < pl.k; p0 += pl.kc) {
+      const int64_t pc = std::min(pl.kc, pl.k - p0);
+      if (pl.kind == GemmKind::kNT) {
+        pack_panel_nt(b, pl.k, p0, pc, j0, jc, panel);
+      } else {
+        pack_panel_nn(b, pl.n, p0, pc, j0, jc, panel);
+      }
+      if (!parallel_strips) {
+        run_strips(pl, a, panel, c, j0, jc, p0, pc, 0, pl.strips_m(), abuf);
+        continue;
+      }
+      parallel::parallel_for(0, pl.strips_m(), pl.strip_grain, [&](int64_t lo, int64_t hi) {
+        std::vector<float> chunk_abuf(pl.strip_floats());
+        run_strips(pl, a, panel, c, j0, jc, p0, pc, lo, hi, chunk_abuf.data());
       });
     }
   }
 }
 
-int64_t tile_count(int64_t m, int64_t k, int64_t n, const Blocking& blk) {
-  const int64_t kc = std::max<int64_t>(1, std::min(blk.kc, k));
-  return ((m + kMr - 1) / kMr) * ((n + kNr - 1) / kNr) * ((k + kc - 1) / kc);
+int64_t tile_count(const Plan& pl) {
+  return pl.strips_m() * ((pl.n + kNr - 1) / kNr) * ((pl.k + pl.kc - 1) / pl.kc);
 }
 
-void check_2d(const Tensor& a, const Tensor& b, const char* what) {
-  check_arg(a.ndim() == 2 && b.ndim() == 2, std::string(what) + ": operands must be 2-d");
+// check_arg with the message built only on failure: these checks run on
+// every GEMM call, decode-sized ones included.
+void require(bool cond, const char* what, const char* msg) {
+  if (!cond) check_arg(false, std::string(what) + msg);
+}
+
+// Per-slice GEMM dims of a 2-d or batched call (batch 1 for 2-d).
+struct Dims {
+  int64_t batch, m, k, n;
+};
+
+Dims gemm_dims(GemmKind kind, const Tensor& a, const Tensor& b, bool batched, const char* what) {
+  const int64_t r = batched ? 3 : 2;
+  require(a.ndim() == r && b.ndim() == r, what,
+          batched ? ": operands must be 3-d" : ": operands must be 2-d");
+  const int64_t o = batched ? 1 : 0;  // first matrix axis
+  if (batched) require(a.dim(0) == b.dim(0), what, ": batch sizes differ");
+  Dims d{batched ? a.dim(0) : 1, 0, 0, 0};
+  int64_t b_inner = 0;  // B's extent along k
+  switch (kind) {
+    case GemmKind::kNN:
+      d.m = a.dim(o), d.k = a.dim(o + 1), d.n = b.dim(o + 1), b_inner = b.dim(o);
+      break;
+    case GemmKind::kNT:
+    case GemmKind::kPackedNT:
+      d.m = a.dim(o), d.k = a.dim(o + 1), d.n = b.dim(o), b_inner = b.dim(o + 1);
+      break;
+    case GemmKind::kTN:
+      d.m = a.dim(o + 1), d.k = a.dim(o), d.n = b.dim(o + 1), b_inner = b.dim(o);
+      break;
+  }
+  require(b_inner == d.k, what, ": inner dimensions differ");
+  return d;
+}
+
+Tensor gemm_blocked(GemmKind kind, const Tensor& a, const Tensor& b, const Blocking& blk,
+                    bool fast_math, bool batched, const char* what) {
+  const Dims d = gemm_dims(kind, a, b, batched, what);
+  require(blk.valid(), what, ": invalid blocking");
+  Tensor c = batched ? Tensor({d.batch, d.m, d.n}) : Tensor({d.m, d.n});
+  const auto t0 = std::chrono::steady_clock::now();
+  const Plan pl(kind, d.m, d.k, d.n, blk, fast_math);
+  const int64_t a_stride = d.m * d.k, b_stride = d.k * d.n, c_stride = d.m * d.n;
+  const float* pa = a.raw();
+  const float* pb = b.raw();
+  float* pc = c.raw();
+  if (d.batch == 1) {
+    PanelBuffer panel(pl.panel_floats());
+    gemm_slice(pl, pa, pb, pc, panel.data(), /*parallel_strips=*/true, nullptr);
+  } else {
+    // Slices are independent GEMMs writing disjoint C: chunks take whole
+    // slices, sized so each chunk has enough MACs to pay for a fan-out.
+    const int64_t grain = std::max<int64_t>(1, 16384 / std::max<int64_t>(1, c_stride * d.k));
+    parallel::parallel_for(0, d.batch, grain, [&](int64_t lo, int64_t hi) {
+      PanelBuffer panel(pl.panel_floats());
+      std::vector<float> abuf(pl.strip_floats());
+      for (int64_t t = lo; t < hi; ++t) {
+        gemm_slice(pl, pa + t * a_stride, pb + t * b_stride, pc + t * c_stride, panel.data(),
+                   /*parallel_strips=*/false, abuf.data());
+      }
+    });
+  }
+  record_blocked_call(blk, d.batch * tile_count(pl),
+                      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  return c;
 }
 
 }  // namespace
@@ -220,6 +320,7 @@ const char* to_string(GemmKind kind) {
     case GemmKind::kNN: return "nn";
     case GemmKind::kNT: return "nt";
     case GemmKind::kPackedNT: return "packed_nt";
+    case GemmKind::kTN: return "tn";
   }
   return "?";
 }
@@ -265,141 +366,137 @@ void set_metrics_registry(obs::Registry* r) {
   g_metrics = r;
 }
 
-bool use_blocked(GemmKind kind, int64_t m, int64_t k, int64_t n) {
-  // Below ~32k MACs the pack + fan-out overhead eats the win; the blocked
-  // kernel also needs at least one full kNr lane to pay for panelling.
-  // The packed kernel cuts over much earlier: its scalar reference pays a
+bool use_blocked(GemmKind kind, int64_t m, int64_t k, int64_t n, int64_t batch) {
+  // Below ~32k MACs the 2-d pack + fan-out overhead eats the win. The
+  // packed kernel cuts over much earlier: its scalar reference pays a
   // bounds-checked value_at per MAC, so bulk panel decode wins from tiny
-  // shapes up (single-token decode rows included).
+  // shapes up (single-token decode rows included). The naive TN loop reads
+  // A down its columns and the naive batched loops run one short dot
+  // product or row update per output row; measured at one thread, the
+  // blocked kernel beat them on every shape with a full kMr x kNr tile and
+  // 2k MACs per slice (below that, packing costs more than it saves).
   if (n < kNr || m < 1 || k < 1) return false;
   if (kind == GemmKind::kPackedNT) return m * k * n >= 4096;
+  if (kind == GemmKind::kTN || batch > 1) return m >= kMr && m * k * n >= 2048;
   return m * k * n >= 32768;
 }
 
 Tensor matmul_blocked(const Tensor& a, const Tensor& b, const Blocking& blk, bool fast_math) {
-  check_2d(a, b, "matmul_blocked");
-  check_arg(a.dim(1) == b.dim(0), "matmul_blocked: inner dimensions differ");
-  check_arg(blk.valid(), "matmul_blocked: invalid blocking");
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  const auto t0 = std::chrono::steady_clock::now();
-  gemm_blocked_2d<false>(a.raw(), b.raw(), c.raw(), m, k, n, blk, fast_math);
-  record_blocked_call(blk, tile_count(m, k, n, blk),
-                      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-  return c;
+  return gemm_blocked(GemmKind::kNN, a, b, blk, fast_math, false, "matmul_blocked");
 }
 
 Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b, const Blocking& blk, bool fast_math) {
-  check_2d(a, b, "matmul_nt_blocked");
-  check_arg(a.dim(1) == b.dim(1), "matmul_nt_blocked: inner dimensions differ");
-  check_arg(blk.valid(), "matmul_nt_blocked: invalid blocking");
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  Tensor c({m, n});
-  const auto t0 = std::chrono::steady_clock::now();
-  gemm_blocked_2d<true>(a.raw(), b.raw(), c.raw(), m, k, n, blk, fast_math);
-  record_blocked_call(blk, tile_count(m, k, n, blk),
-                      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-  return c;
+  return gemm_blocked(GemmKind::kNT, a, b, blk, fast_math, false, "matmul_nt_blocked");
+}
+
+Tensor matmul_tn_blocked(const Tensor& a, const Tensor& b, const Blocking& blk, bool fast_math) {
+  return gemm_blocked(GemmKind::kTN, a, b, blk, fast_math, false, "matmul_tn_blocked");
+}
+
+Tensor bmm_blocked(const Tensor& a, const Tensor& b, const Blocking& blk, bool fast_math) {
+  return gemm_blocked(GemmKind::kNN, a, b, blk, fast_math, true, "bmm_blocked");
 }
 
 Tensor bmm_nt_blocked(const Tensor& a, const Tensor& b, const Blocking& blk, bool fast_math) {
-  check_arg(a.ndim() == 3 && b.ndim() == 3, "bmm_nt_blocked: operands must be 3-d");
-  check_arg(a.dim(0) == b.dim(0), "bmm_nt_blocked: batch sizes differ");
-  check_arg(a.dim(2) == b.dim(2), "bmm_nt_blocked: inner dimensions differ");
-  check_arg(blk.valid(), "bmm_nt_blocked: invalid blocking");
-  const int64_t bs = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(1);
-  Tensor c({bs, m, n});
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int64_t t = 0; t < bs; ++t) {
-    gemm_blocked_2d<true>(a.raw() + t * m * k, b.raw() + t * n * k, c.raw() + t * m * n, m, k, n,
-                          blk, fast_math);
-  }
-  record_blocked_call(blk, bs * tile_count(m, k, n, blk),
-                      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-  return c;
+  return gemm_blocked(GemmKind::kNT, a, b, blk, fast_math, true, "bmm_nt_blocked");
+}
+
+Tensor bmm_tn_blocked(const Tensor& a, const Tensor& b, const Blocking& blk, bool fast_math) {
+  return gemm_blocked(GemmKind::kTN, a, b, blk, fast_math, true, "bmm_tn_blocked");
 }
 
 // --- naive references -------------------------------------------------------
 //
-// The exact pre-blocking code paths (see ops.cpp history): grain sizing and
-// loop structure match the original dispatch so benches compare against
-// what shipped, not a strawman.
+// The loop kernels the ops:: matmuls ran before blocked dispatch existed
+// (and still run below the cut-over): each output row is one task, its
+// elements accumulate over ascending p from +0.0f. Grain sizing matches the
+// original dispatch, so benches compare against what shipped.
 
 namespace {
+
 constexpr int64_t kGrainOps = 16384;
 
 int64_t row_grain(int64_t ops_per_row) {
   return std::max<int64_t>(1, kGrainOps / std::max<int64_t>(1, ops_per_row));
 }
-}  // namespace
 
-Tensor matmul_naive(const Tensor& a, const Tensor& b) {
-  check_2d(a, b, "matmul_naive");
-  check_arg(a.dim(1) == b.dim(0), "matmul_naive: inner dimensions differ");
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
+// C rows [lo, hi) of every slice, rows flattened over the batch. NN and TN
+// run the (p, j) row update C[i,:] += A(i,p) * B[p,:]; NT runs one dot
+// product per element. The per-element chains are identical either way.
+// `kind` is a template parameter so each layout compiles to its own loop
+// (below the cut-over these loops are the production path, e.g. decode).
+template <GemmKind kind>
+Tensor gemm_naive(const Tensor& a, const Tensor& b, bool batched, const char* what) {
+  const Dims d = gemm_dims(kind, a, b, batched, what);
+  const int64_t m = d.m, k = d.k, n = d.n;
+  Tensor c = batched ? Tensor({d.batch, m, n}) : Tensor({m, n});
   const float* pa = a.raw();
   const float* pb = b.raw();
   float* pc = c.raw();
-  parallel::parallel_for(0, m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = pa[i * k + p];
-        const float* brow = pb + p * n;
-        float* crow = pc + i * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-  return c;
-}
-
-Tensor matmul_nt_naive(const Tensor& a, const Tensor& b) {
-  check_2d(a, b, "matmul_nt_naive");
-  check_arg(a.dim(1) == b.dim(1), "matmul_nt_naive: inner dimensions differ");
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  Tensor c({m, n});
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  float* pc = c.raw();
-  parallel::parallel_for(0, m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = pb + j * k;
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        crow[j] = acc;
-      }
-    }
-  });
-  return c;
-}
-
-Tensor bmm_nt_naive(const Tensor& a, const Tensor& b) {
-  check_arg(a.ndim() == 3 && b.ndim() == 3, "bmm_nt_naive: operands must be 3-d");
-  check_arg(a.dim(0) == b.dim(0), "bmm_nt_naive: batch sizes differ");
-  check_arg(a.dim(2) == b.dim(2), "bmm_nt_naive: inner dimensions differ");
-  const int64_t bs = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(1);
-  Tensor c({bs, m, n});
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  float* pc = c.raw();
-  parallel::parallel_for(0, bs * m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
+  parallel::parallel_for(0, d.batch * m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
       const int64_t t = r / m, i = r % m;
       const float* ab = pa + t * m * k;
-      const float* bb = pb + t * n * k;
+      const float* bb = pb + t * k * n;
       float* crow = pc + r * n;
-      for (int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) acc += ab[i * k + p] * bb[j * k + p];
-        crow[j] = acc;
+      if constexpr (kind == GemmKind::kNT) {
+        for (int64_t j = 0; j < n; ++j) {
+          float acc = 0.0f;
+          for (int64_t p = 0; p < k; ++p) acc += ab[i * k + p] * bb[j * k + p];
+          crow[j] = acc;
+        }
+      } else {
+        for (int64_t p = 0; p < k; ++p) {
+          const float av = kind == GemmKind::kTN ? ab[p * m + i] : ab[i * k + p];
+          const float* brow = bb + p * n;
+          for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+        }
       }
     }
   });
   return c;
+}
+
+}  // namespace
+
+Tensor matmul_naive(const Tensor& a, const Tensor& b) {
+  return gemm_naive<GemmKind::kNN>(a, b, false, "matmul_naive");
+}
+
+Tensor matmul_nt_naive(const Tensor& a, const Tensor& b) {
+  return gemm_naive<GemmKind::kNT>(a, b, false, "matmul_nt_naive");
+}
+
+Tensor matmul_tn_naive(const Tensor& a, const Tensor& b) {
+  return gemm_naive<GemmKind::kTN>(a, b, false, "matmul_tn_naive");
+}
+
+Tensor bmm_naive(const Tensor& a, const Tensor& b) {
+  return gemm_naive<GemmKind::kNN>(a, b, true, "bmm_naive");
+}
+
+Tensor bmm_nt_naive(const Tensor& a, const Tensor& b) {
+  return gemm_naive<GemmKind::kNT>(a, b, true, "bmm_nt_naive");
+}
+
+Tensor bmm_tn_naive(const Tensor& a, const Tensor& b) {
+  return gemm_naive<GemmKind::kTN>(a, b, true, "bmm_tn_naive");
+}
+
+Tensor dispatch(GemmKind kind, const Tensor& a, const Tensor& b, bool batched, const char* what) {
+  const Dims d = gemm_dims(kind, a, b, batched, what);
+  if (use_blocked(kind, d.m, d.k, d.n, d.batch)) {
+    return gemm_blocked(kind, a, b, blocking_for(kind, d.m, d.k, d.n), fast_math_enabled(),
+                        batched, what);
+  }
+  switch (kind) {
+    case GemmKind::kNN: return gemm_naive<GemmKind::kNN>(a, b, batched, what);
+    case GemmKind::kNT: return gemm_naive<GemmKind::kNT>(a, b, batched, what);
+    case GemmKind::kTN: return gemm_naive<GemmKind::kTN>(a, b, batched, what);
+    case GemmKind::kPackedNT: break;
+  }
+  require(false, what, ": packed weights go through quant::packed_matmul_nt");
+  return Tensor();
 }
 
 }  // namespace edgellm::ops::gemm

@@ -1,11 +1,11 @@
 // Blocked GEMM kernel family: cache-blocked (MC/KC/NC) + register-tiled
-// (kMr x kNr micro-kernel) variants of the dense matmul kernels, with
-// B-panel packing.
+// (kMr x kNr micro-kernel) variants of the dense matmul kernels — NN, NT
+// and TN layouts, 2-d and batched — with B-panel packing.
 //
 // Numerics contract: every blocked kernel accumulates each output element
 // over ascending k with a single fp32 accumulator chain — k-blocks are
 // visited in order and partial sums round-trip through C between blocks —
-// so results are BITWISE IDENTICAL to the naive triple-loop kernels (and
+// so results are BITWISE IDENTICAL to the naive loop kernels (and
 // therefore to serial execution at any thread count, the backend guarantee
 // of tensor/parallel.hpp). No operand is ever skipped, so IEEE NaN/Inf
 // propagation is preserved. What blocking changes is only the memory
@@ -67,7 +67,9 @@ Blocking default_blocking(int64_t m, int64_t k, int64_t n);
 
 /// Which kernel a schedule applies to. kPackedNT covers the integer
 /// weight kernel in quant/packed.hpp (only its kc/nc fields are used).
-enum class GemmKind { kNN, kNT, kPackedNT };
+/// Operand layouts of the dense kinds: kNN A[m,k] B[k,n]; kNT A[m,k]
+/// B[n,k]; kTN A[k,m] B[k,n].
+enum class GemmKind { kNN, kNT, kPackedNT, kTN };
 
 const char* to_string(GemmKind kind);
 
@@ -123,37 +125,64 @@ bool fast_math_enabled();
 // ---------------------------------------------------------------------------
 //
 // The `_blocked` entry points take an explicit schedule (the autotuner
-// times candidates through these); ops::matmul / ops::matmul_nt /
-// ops::bmm_nt dispatch to them via blocking_for() when the shape clears
-// use_blocked(). The `_naive` entry points are the original triple-loop
-// kernels, exported as the bit-exact reference for tests and the baseline
-// for benches.
+// times candidates through these); the ops:: matmuls and bmms dispatch to
+// them via blocking_for() when the shape clears use_blocked(). The
+// `_naive` entry points are the plain loop kernels, exported as the
+// bit-exact reference for tests and the baseline for benches (and the
+// path ops:: takes below the cut-over).
+//
+// Every blocked kernel is bitwise equal to its naive reference unless
+// `fast_math` (defaults to the global flag) opts the call into the FMA
+// multi-accumulator kernels. The TN kernels read A transposed while
+// packing each kMr-row strip (kMr x kc floats), so no transposed copy of
+// A is ever made. The batched kernels run one blocked GEMM per batch slice
+// and, with more than one slice, parallelise over slices (per-batch
+// shapes are small: attention heads).
 
-/// C[m,n] = A[m,k] * B[k,n], blocked. Bitwise equal to matmul_naive
-/// unless `fast_math` (defaults to the global flag) opts this call into
-/// the FMA multi-accumulator kernels.
+/// C[m,n] = A[m,k] * B[k,n].
 Tensor matmul_blocked(const Tensor& a, const Tensor& b, const Blocking& blk,
                       bool fast_math = fast_math_enabled());
-
-/// C[m,n] = A[m,k] * B^T (B stored [n,k]), blocked. Bitwise equal to
-/// matmul_nt_naive unless `fast_math` opts in.
+/// C[m,n] = A[m,k] * B^T (B stored [n,k]).
 Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b, const Blocking& blk,
                          bool fast_math = fast_math_enabled());
+/// C[m,n] = A^T * B (A stored [k,m], B [k,n]).
+Tensor matmul_tn_blocked(const Tensor& a, const Tensor& b, const Blocking& blk,
+                         bool fast_math = fast_math_enabled());
 
-/// C[b,m,n] = A[b,m,k] * B^T (B stored [b,n,k]), blocked per batch.
-/// Bitwise equal to bmm_nt_naive unless `fast_math` opts in.
+/// C[b,m,n] = A[b,m,k] * B[b,k,n]; `blk` is the per-batch schedule.
+Tensor bmm_blocked(const Tensor& a, const Tensor& b, const Blocking& blk,
+                   bool fast_math = fast_math_enabled());
+/// C[b,m,n] = A[b,m,k] * B^T (B stored [b,n,k]).
 Tensor bmm_nt_blocked(const Tensor& a, const Tensor& b, const Blocking& blk,
                       bool fast_math = fast_math_enabled());
+/// C[b,m,n] = A^T * B (A stored [b,k,m], B [b,k,n]).
+Tensor bmm_tn_blocked(const Tensor& a, const Tensor& b, const Blocking& blk,
+                      bool fast_math = fast_math_enabled());
 
-/// The pre-blocking kernels (exact code paths ops::matmul & friends ran
-/// before blocked dispatch existed).
+/// The loop references: one ascending-k fp32 chain per output element,
+/// parallel over output rows.
 Tensor matmul_naive(const Tensor& a, const Tensor& b);
 Tensor matmul_nt_naive(const Tensor& a, const Tensor& b);
+Tensor matmul_tn_naive(const Tensor& a, const Tensor& b);
+Tensor bmm_naive(const Tensor& a, const Tensor& b);
 Tensor bmm_nt_naive(const Tensor& a, const Tensor& b);
+Tensor bmm_tn_naive(const Tensor& a, const Tensor& b);
+
+/// The ops:: entry point for the dense kinds: validates the operands
+/// (std::invalid_argument naming `what`), then runs the blocked kernel
+/// under blocking_for()'s schedule when use_blocked() clears the
+/// (per-batch) shape, else the naive loop — the same bits either way.
+/// `batched` selects 3-d operands [batch, ...].
+Tensor dispatch(GemmKind kind, const Tensor& a, const Tensor& b, bool batched, const char* what);
 
 /// Dispatch policy: true when the blocked kernel is worth its packing and
-/// fan-out overhead for this shape (per-batch shape for bmm).
-bool use_blocked(GemmKind kind, int64_t m, int64_t k, int64_t n);
+/// fan-out overhead for this shape (per-batch shape when `batch` > 1).
+/// Every blocked kernel needs one full kNr lane (n >= kNr). Beyond that,
+/// 2-d NN/NT calls cut over at 32k MACs and packed NT at 4k; TN calls and
+/// batched calls (batch > 1) cut over at m >= kMr and 2k MACs per slice,
+/// where the blocked kernel beat the naive loops at one thread on every
+/// measured shape.
+bool use_blocked(GemmKind kind, int64_t m, int64_t k, int64_t n, int64_t batch = 1);
 
 namespace detail {
 

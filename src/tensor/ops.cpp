@@ -18,19 +18,6 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* what) {
                                         shape_to_string(b.shape()));
 }
 
-// Accumulating kernels assume their output starts at exactly zero; a future
-// pooled/uninitialised allocation path handing them dirty memory would
-// silently corrupt results. Debug builds assert the contract.
-#ifndef NDEBUG
-void debug_assert_zeroed(const Tensor& c, const char* what) {
-  for (int64_t i = 0; i < c.numel(); ++i) {
-    check_arg(c[i] == 0.0f, std::string(what) + ": output not zero-initialised");
-  }
-}
-#else
-void debug_assert_zeroed(const Tensor&, const char*) {}
-#endif
-
 // Chunk sizing: aim for at least this many scalar multiply-adds per chunk
 // so fan-out overhead stays negligible. Chunk boundaries never affect
 // results (kernels partition over disjoint output rows), only scheduling.
@@ -38,75 +25,6 @@ constexpr int64_t kGrainOps = 16384;
 
 int64_t row_grain(int64_t ops_per_row) {
   return std::max<int64_t>(1, kGrainOps / std::max<int64_t>(1, ops_per_row));
-}
-
-// Inner GEMM kernel on raw pointers over an output-row range:
-// C[i,n] += A[i,k] * B[k,n] for i in [lo, hi), with C assumed
-// zero-initialised by the caller. Loop order (i,p,j) keeps the B and C
-// accesses sequential and fixes the per-element accumulation order (over
-// ascending p), so any row partition is bitwise identical to the serial
-// pass. `skip_zero_a` enables the sparsity fast path that skips a[i,p] ==
-// 0 — see matmul_skipzero for the numerics contract.
-template <bool skip_zero_a>
-void gemm_nn_rows(const float* a, const float* b, float* c, int64_t lo, int64_t hi, int64_t k,
-                  int64_t n) {
-  for (int64_t i = lo; i < hi; ++i) {
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = a[i * k + p];
-      if (skip_zero_a && av == 0.0f) continue;
-      const float* brow = b + p * n;
-      float* crow = c + i * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-template <bool skip_zero_a>
-Tensor matmul_impl(const Tensor& a, const Tensor& b, const char* what) {
-  check_arg(a.ndim() == 2 && b.ndim() == 2, std::string(what) + ": operands must be 2-d");
-  check_arg(a.dim(1) == b.dim(0), std::string(what) + ": inner dimensions differ");
-  const obs::KernelSpan span("kernel/matmul");
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  debug_assert_zeroed(c, what);
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  float* pc = c.raw();
-  parallel::parallel_for(0, m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
-    gemm_nn_rows<skip_zero_a>(pa, pb, pc, lo, hi, k, n);
-  });
-  return c;
-}
-
-template <bool skip_zero_a>
-Tensor bmm_tn_impl(const Tensor& a, const Tensor& b, const char* what) {
-  check_arg(a.ndim() == 3 && b.ndim() == 3, std::string(what) + ": operands must be 3-d");
-  check_arg(a.dim(0) == b.dim(0), std::string(what) + ": batch sizes differ");
-  check_arg(a.dim(1) == b.dim(1), std::string(what) + ": inner dimensions differ");
-  const obs::KernelSpan span("kernel/bmm");
-  const int64_t bs = a.dim(0), k = a.dim(1), m = a.dim(2), n = b.dim(2);
-  Tensor c({bs, m, n});
-  debug_assert_zeroed(c, what);
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  float* pc = c.raw();
-  // Partition over flattened output rows (t, i); each row accumulates over
-  // ascending p exactly as the serial (p, i, j) loop did per element.
-  parallel::parallel_for(0, bs * m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) {
-      const int64_t t = r / m, i = r % m;
-      const float* ab = pa + t * k * m;
-      const float* bb = pb + t * k * n;
-      float* crow = pc + r * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = ab[p * m + i];
-        if (skip_zero_a && av == 0.0f) continue;
-        const float* brow = bb + p * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-  return c;
 }
 
 // Elementwise map over a flat range: y[i] = f(x[i]).
@@ -123,133 +41,38 @@ Tensor map_elems(const Tensor& x, F f) {
 
 }  // namespace
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  // Blocked dispatch is invisible to results: gemm.hpp's kernels are bitwise
-  // identical to the naive loops (see the contract there), so only speed
-  // depends on the shape cut-over and the registered schedule.
-  if (a.ndim() == 2 && b.ndim() == 2 && a.dim(1) == b.dim(0) &&
-      gemm::use_blocked(gemm::GemmKind::kNN, a.dim(0), a.dim(1), b.dim(1))) {
-    const obs::KernelSpan span("kernel/matmul");
-    return gemm::matmul_blocked(
-        a, b, gemm::blocking_for(gemm::GemmKind::kNN, a.dim(0), a.dim(1), b.dim(1)));
-  }
-  return matmul_impl<false>(a, b, "matmul");
-}
+// The matrix products validate their operands and pick the blocked kernel
+// or the naive loop in gemm::dispatch; the two give the same bits, so only
+// speed depends on the cut-over and the registered schedule.
 
-Tensor matmul_skipzero(const Tensor& a, const Tensor& b) {
-  return matmul_impl<true>(a, b, "matmul_skipzero");
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  const obs::KernelSpan span("kernel/matmul");
+  return gemm::dispatch(gemm::GemmKind::kNN, a, b, false, "matmul");
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  check_arg(a.ndim() == 2 && b.ndim() == 2, "matmul_tn: operands must be 2-d");
-  check_arg(a.dim(0) == b.dim(0), "matmul_tn: inner dimensions differ");
   const obs::KernelSpan span("kernel/matmul");
-  const int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  debug_assert_zeroed(c, "matmul_tn");
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  float* pc = c.raw();
-  // C[i,j] = sum_p A[p,i] * B[p,j], accumulated over ascending p per output
-  // element — the same order at any row partition.
-  parallel::parallel_for(0, m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      float* crow = pc + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = pa[p * m + i];
-        const float* brow = pb + p * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-  return c;
+  return gemm::dispatch(gemm::GemmKind::kTN, a, b, false, "matmul_tn");
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  check_arg(a.ndim() == 2 && b.ndim() == 2, "matmul_nt: operands must be 2-d");
-  check_arg(a.dim(1) == b.dim(1), "matmul_nt: inner dimensions differ");
   const obs::KernelSpan span("kernel/matmul");
-  if (gemm::use_blocked(gemm::GemmKind::kNT, a.dim(0), a.dim(1), b.dim(0))) {
-    return gemm::matmul_nt_blocked(
-        a, b, gemm::blocking_for(gemm::GemmKind::kNT, a.dim(0), a.dim(1), b.dim(0)));
-  }
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  Tensor c({m, n});
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  float* pc = c.raw();
-  parallel::parallel_for(0, m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = pb + j * k;
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        crow[j] = acc;
-      }
-    }
-  });
-  return c;
+  return gemm::dispatch(gemm::GemmKind::kNT, a, b, false, "matmul_nt");
 }
 
 Tensor bmm(const Tensor& a, const Tensor& b) {
-  check_arg(a.ndim() == 3 && b.ndim() == 3, "bmm: operands must be 3-d");
-  check_arg(a.dim(0) == b.dim(0), "bmm: batch sizes differ");
-  check_arg(a.dim(2) == b.dim(1), "bmm: inner dimensions differ");
   const obs::KernelSpan span("kernel/bmm");
-  const int64_t bs = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(2);
-  Tensor c({bs, m, n});
-  debug_assert_zeroed(c, "bmm");
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  float* pc = c.raw();
-  // Partition over flattened output rows (t, i) across the whole batch.
-  parallel::parallel_for(0, bs * m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) {
-      const int64_t t = r / m, i = r % m;
-      gemm_nn_rows<false>(pa + t * m * k, pb + t * k * n, pc + t * m * n, i, i + 1, k, n);
-    }
-  });
-  return c;
+  return gemm::dispatch(gemm::GemmKind::kNN, a, b, true, "bmm");
 }
 
 Tensor bmm_nt(const Tensor& a, const Tensor& b) {
-  check_arg(a.ndim() == 3 && b.ndim() == 3, "bmm_nt: operands must be 3-d");
-  check_arg(a.dim(0) == b.dim(0), "bmm_nt: batch sizes differ");
-  check_arg(a.dim(2) == b.dim(2), "bmm_nt: inner dimensions differ");
   const obs::KernelSpan span("kernel/bmm");
-  if (gemm::use_blocked(gemm::GemmKind::kNT, a.dim(1), a.dim(2), b.dim(1))) {
-    return gemm::bmm_nt_blocked(
-        a, b, gemm::blocking_for(gemm::GemmKind::kNT, a.dim(1), a.dim(2), b.dim(1)));
-  }
-  const int64_t bs = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(1);
-  Tensor c({bs, m, n});
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  float* pc = c.raw();
-  parallel::parallel_for(0, bs * m, row_grain(k * n), [=](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) {
-      const int64_t t = r / m, i = r % m;
-      const float* ab = pa + t * m * k;
-      const float* bb = pb + t * n * k;
-      float* crow = pc + r * n;
-      for (int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) acc += ab[i * k + p] * bb[j * k + p];
-        crow[j] = acc;
-      }
-    }
-  });
-  return c;
+  return gemm::dispatch(gemm::GemmKind::kNT, a, b, true, "bmm_nt");
 }
 
 Tensor bmm_tn(const Tensor& a, const Tensor& b) {
-  return bmm_tn_impl<false>(a, b, "bmm_tn");
-}
-
-Tensor bmm_tn_skipzero(const Tensor& a, const Tensor& b) {
-  return bmm_tn_impl<true>(a, b, "bmm_tn_skipzero");
+  const obs::KernelSpan span("kernel/bmm");
+  return gemm::dispatch(gemm::GemmKind::kTN, a, b, true, "bmm_tn");
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
@@ -344,21 +167,6 @@ Tensor relu_grad(const Tensor& x, const Tensor& grad_out) {
 }
 
 namespace {
-// tanh-approximation GELU, matching the variant common in LLM codebases.
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-
-float gelu_scalar(float x) {
-  const float u = kGeluC * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(u));
-}
-
-float gelu_grad_scalar(float x) {
-  const float u = kGeluC * (x + 0.044715f * x * x * x);
-  const float t = std::tanh(u);
-  const float du = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-}
-
 // Transcendental elementwise work gets a finer grain than fused adds.
 constexpr int64_t kTranscendentalGrain = 2048;
 }  // namespace
@@ -367,8 +175,9 @@ Tensor gelu(const Tensor& x) {
   Tensor y(x.shape());
   const float* px = x.raw();
   float* py = y.raw();
+  const auto gelu_kernel = simd::kernels().gelu;
   parallel::parallel_for(0, x.numel(), kTranscendentalGrain, [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) py[i] = gelu_scalar(px[i]);
+    gelu_kernel(px + lo, py + lo, hi - lo);
   });
   return y;
 }
@@ -379,8 +188,9 @@ Tensor gelu_grad(const Tensor& x, const Tensor& grad_out) {
   const float* px = x.raw();
   const float* pg = grad_out.raw();
   float* po = g.raw();
+  const auto gelu_grad_kernel = simd::kernels().gelu_grad;
   parallel::parallel_for(0, x.numel(), kTranscendentalGrain, [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) po[i] = pg[i] * gelu_grad_scalar(px[i]);
+    gelu_grad_kernel(px + lo, pg + lo, po + lo, hi - lo);
   });
   return g;
 }

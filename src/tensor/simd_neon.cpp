@@ -70,6 +70,32 @@ inline float32x4_t sigmoid_f32x4(float32x4_t x) {
   return vbslq_f32(ordered, y, x);
 }
 
+// 2u = kGelu2C * (x + ((kGeluA * x) * x) * x), gelu_scalar's op order.
+inline float32x4_t gelu_2u_f32x4(float32x4_t x) {
+  using namespace detail;
+  const float32x4_t ax = vmulq_f32(vdupq_n_f32(kGeluA), x);
+  return vmulq_f32(vdupq_n_f32(kGelu2C), vaddq_f32(x, vmulq_f32(vmulq_f32(ax, x), x)));
+}
+
+inline float32x4_t gelu_f32x4(float32x4_t x) {
+  const float32x4_t y = vmulq_f32(x, sigmoid_f32x4(gelu_2u_f32x4(x)));
+  return vbslq_f32(vceqq_f32(x, x), y, x);  // NaN lanes return x
+}
+
+// gelu_grad_scalar lane-parallel; its early returns become the final
+// selects (NaN x checked first there, so selected last here).
+inline float32x4_t gelu_grad_f32x4(float32x4_t x, float32x4_t g) {
+  using namespace detail;
+  const float32x4_t one = vdupq_n_f32(1.0f);
+  const float32x4_t s = sigmoid_f32x4(gelu_2u_f32x4(x));
+  const float32x4_t du2 = vmulq_f32(
+      vdupq_n_f32(kGelu2C), vaddq_f32(one, vmulq_f32(vmulq_f32(vdupq_n_f32(kGelu3A), x), x)));
+  const float32x4_t t = vmulq_f32(vmulq_f32(vmulq_f32(x, s), vsubq_f32(one, s)), du2);
+  float32x4_t y = vmulq_f32(g, vaddq_f32(s, t));
+  y = vbslq_f32(vceqq_f32(g, g), y, g);
+  return vbslq_f32(vceqq_f32(x, x), y, x);
+}
+
 // ---------------------------------------------------------------------------
 // GEMM micro-kernel
 // ---------------------------------------------------------------------------
@@ -301,6 +327,20 @@ void swiglu_neon(const float* g, const float* u, float* y, int64_t n) {
   }
 }
 
+void gelu_neon(const float* x, float* y, int64_t n) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) vst1q_f32(y + i, gelu_f32x4(vld1q_f32(x + i)));
+  for (; i < n; ++i) y[i] = gelu_scalar(x[i]);
+}
+
+void gelu_grad_neon(const float* x, const float* g, float* y, int64_t n) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    vst1q_f32(y + i, gelu_grad_f32x4(vld1q_f32(x + i), vld1q_f32(g + i)));
+  }
+  for (; i < n; ++i) y[i] = gelu_grad_scalar(x[i], g[i]);
+}
+
 void add_neon(const float* a, const float* b, float* y, int64_t n) {
   int64_t i = 0;
   for (; i + 4 <= n; i += 4) vst1q_f32(y + i, vaddq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
@@ -345,6 +385,8 @@ constexpr KernelTable kNeonTable = {
     .scale_inplace = scale_inplace_neon,
     .silu = silu_neon,
     .swiglu = swiglu_neon,
+    .gelu = gelu_neon,
+    .gelu_grad = gelu_grad_neon,
     .add = add_neon,
     .rms_apply = rms_apply_neon,
     .sumsq_fast = sumsq_fast_neon,

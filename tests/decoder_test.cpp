@@ -2,6 +2,8 @@
 // forward pass, under compression too.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/tuner.hpp"
 #include "data/eval.hpp"
 #include "nn/decoder.hpp"
@@ -174,6 +176,60 @@ TEST(Decoder, ResetAllowsServingSuccessivePrompts) {
   for (int64_t v = 0; v < cfg.vocab; ++v) {
     EXPECT_EQ(reused.logits()[v], fresh.logits()[v]) << v;  // no state leaked
   }
+}
+
+// prime() snapshots the effective weights once (DecodeWeightCache) and
+// decodes the prompt and every step() against the snapshot. Training
+// between two primes must show up after the second prime, and every logit
+// must stay bitwise equal to the uncached decode_step path.
+TEST(Decoder, RePrimeAfterTrainingMatchesUncachedDecodeBitwise) {
+  const ModelConfig cfg = tiny_config();
+  Rng rng(31);
+  CausalLm model(cfg, rng);
+  quant::QuantSpec q;
+  q.bits = 4;
+  prune::PruneSpec p;
+  p.sparsity = 0.5f;
+  model.blocks()[0]->set_compression(q, p);  // effective_weight does real work
+
+  data::MarkovChain::Config dc;
+  dc.vocab = cfg.vocab;
+  dc.seed = 3;
+  const data::MarkovChain domain(dc);
+  core::TunerConfig tcfg = core::TunerConfig::vanilla();
+  tcfg.optim.lr = 1e-2f;
+  core::AdaptiveLayerTuner tuner(model, tcfg, Rng(32));
+  Rng drng(33);
+
+  const std::vector<int64_t> prompt = {3, 1, 4, 1, 5};
+  const std::vector<int64_t> fed = {2, 7, 1};
+  IncrementalDecoder dec(model);
+  const auto decode_and_compare = [&](Tensor& first) {
+    dec.prime(prompt);
+    KvCache ref_cache(cfg.n_layers, cfg.kv_dim(), false);
+    Tensor ref;
+    int64_t pos = 0;
+    for (int64_t t : prompt) ref = decode_step(model, ref_cache, pos++, t, 0);
+    first = dec.logits();
+    for (size_t i = 0; i <= fed.size(); ++i) {
+      ASSERT_EQ(dec.logits().numel(), ref.numel());
+      for (int64_t v = 0; v < ref.numel(); ++v) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(dec.logits()[v]), std::bit_cast<uint32_t>(ref[v]))
+            << "token " << i << " vocab " << v;
+      }
+      if (i == fed.size()) break;
+      dec.step(fed[i]);
+      ref = decode_step(model, ref_cache, pos++, fed[i], 0);
+    }
+  };
+
+  Tensor before, after;
+  decode_and_compare(before);
+  for (int i = 0; i < 3; ++i) tuner.step(data::sample_lm_batch(domain, 2, 8, drng));
+  decode_and_compare(after);
+  bool moved = false;
+  for (int64_t v = 0; v < before.numel(); ++v) moved |= before[v] != after[v];
+  EXPECT_TRUE(moved) << "training should change the re-primed logits";
 }
 
 TEST(Decoder, GenerateConfigValidation) {

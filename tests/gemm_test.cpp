@@ -1,5 +1,6 @@
 // The blocked GEMM kernel family and its autotuning stack: bitwise
-// equivalence of blocked vs naive kernels on tile-boundary edge shapes,
+// equivalence of blocked vs naive kernels (NN/NT/TN, 2-d and batched) on
+// tile-boundary edge shapes at 1, 2 and 8 threads,
 // thread-count determinism of the dispatched ops, NaN/Inf propagation,
 // bit-exactness of the blocked packed integer kernel against the scalar
 // reference, the per-shape schedule registry, the persistent ScheduleCache,
@@ -101,6 +102,43 @@ TEST(GemmBlocked, BmmNtMatchesNaiveBitwise) {
   }
 }
 
+// Every size on every axis: single rows/cols, sizes straddling kMr (4) and
+// kNr (8) multiples, and n < kNr (the naive side of the cut-over).
+const std::vector<int64_t> kEdgeDims = {1, 3, 4, 5, 7, 8, 9, 17, 33};
+
+TEST(GemmBlocked, TnAndBatchedMatchNaiveBitwiseOnEdgeShapes) {
+  Rng rng(14);
+  const int64_t bs = 3;
+  for (int64_t m : kEdgeDims) {
+    for (int64_t k : kEdgeDims) {
+      for (int64_t n : kEdgeDims) {
+        const Tensor at = rand_tensor({k, m}, rng);
+        const Tensor b = rand_tensor({k, n}, rng);
+        const Tensor ba = rand_tensor({bs, m, k}, rng);
+        const Tensor ba_t = rand_tensor({bs, k, m}, rng);
+        const Tensor bb = rand_tensor({bs, k, n}, rng);
+        const Tensor bb_t = rand_tensor({bs, n, k}, rng);
+        const Tensor want_tn = gemm::matmul_tn_naive(at, b);
+        const Tensor want_bnn = gemm::bmm_naive(ba, bb);
+        const Tensor want_bnt = gemm::bmm_nt_naive(ba, bb_t);
+        const Tensor want_btn = gemm::bmm_tn_naive(ba_t, bb);
+        for (int64_t threads : {1, 2, 8}) {
+          parallel::NumThreadsScope scope(threads);
+          for (const gemm::Blocking& blk : kBlockings) {
+            const std::string tag = " " + std::to_string(m) + "x" + std::to_string(k) + "x" +
+                                    std::to_string(n) + " " + blk.to_string() + " @" +
+                                    std::to_string(threads);
+            expect_bitwise_equal(gemm::matmul_tn_blocked(at, b, blk), want_tn, "matmul_tn" + tag);
+            expect_bitwise_equal(gemm::bmm_blocked(ba, bb, blk), want_bnn, "bmm" + tag);
+            expect_bitwise_equal(gemm::bmm_nt_blocked(ba, bb_t, blk), want_bnt, "bmm_nt" + tag);
+            expect_bitwise_equal(gemm::bmm_tn_blocked(ba_t, bb, blk), want_btn, "bmm_tn" + tag);
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- Dispatch: thread-count determinism -------------------------------------
 
 // The shapes below clear use_blocked (m*k*n >= 32768, n >= kNr), so
@@ -133,6 +171,46 @@ TEST(GemmDispatch, OpsAreBitwiseDeterministicAcrossThreadCounts) {
   }
 }
 
+// The adaptation step's TN and per-head batched shapes: the weight
+// gradient dW = g^T x and attention at 32 heads of 32x32x16. Below the 2-d
+// cut-over per head, yet the batched and TN rules send them blocked.
+TEST(GemmDispatch, TnAndPerHeadBatchedOpsTakeBlockedPathDeterministically) {
+  Rng rng(22);
+  const Tensor g = rand_tensor({256, 64}, rng);  // [rows, out]
+  const Tensor x = rand_tensor({256, 96}, rng);  // [rows, in]
+  const Tensor q = rand_tensor({32, 32, 16}, rng);
+  const Tensor kh = rand_tensor({32, 32, 16}, rng);
+  const Tensor probs = rand_tensor({32, 32, 32}, rng);
+  ASSERT_TRUE(gemm::use_blocked(gemm::GemmKind::kTN, 64, 256, 96));
+  ASSERT_FALSE(gemm::use_blocked(gemm::GemmKind::kNN, 32, 32, 16));
+  ASSERT_TRUE(gemm::use_blocked(gemm::GemmKind::kNN, 32, 32, 16, /*batch=*/32));
+
+  obs::Registry reg;
+  gemm::set_metrics_registry(&reg);
+  Tensor tn1, bnn1, bnt1, btn1;
+  {
+    parallel::NumThreadsScope scope(1);
+    tn1 = ops::matmul_tn(g, x);
+    bnn1 = ops::bmm(probs, kh);
+    bnt1 = ops::bmm_nt(q, kh);
+    btn1 = ops::bmm_tn(probs, q);
+  }
+  gemm::set_metrics_registry(nullptr);
+  EXPECT_EQ(reg.counter("gemm/blocked_calls").value(), 4);
+  expect_bitwise_equal(tn1, gemm::matmul_tn_naive(g, x), "dispatched matmul_tn vs naive");
+  expect_bitwise_equal(bnn1, gemm::bmm_naive(probs, kh), "dispatched bmm vs naive");
+  expect_bitwise_equal(bnt1, gemm::bmm_nt_naive(q, kh), "dispatched bmm_nt vs naive");
+  expect_bitwise_equal(btn1, gemm::bmm_tn_naive(probs, q), "dispatched bmm_tn vs naive");
+  for (int64_t threads : {2, 8}) {
+    parallel::NumThreadsScope scope(threads);
+    const std::string at = " @" + std::to_string(threads);
+    expect_bitwise_equal(ops::matmul_tn(g, x), tn1, "matmul_tn" + at);
+    expect_bitwise_equal(ops::bmm(probs, kh), bnn1, "bmm" + at);
+    expect_bitwise_equal(ops::bmm_nt(q, kh), bnt1, "bmm_nt" + at);
+    expect_bitwise_equal(ops::bmm_tn(probs, q), btn1, "bmm_tn" + at);
+  }
+}
+
 // --- NaN/Inf propagation on the blocked path --------------------------------
 
 TEST(GemmBlocked, NanAndInfPropagateThroughBlockedKernels) {
@@ -152,6 +230,53 @@ TEST(GemmBlocked, NanAndInfPropagateThroughBlockedKernels) {
     EXPECT_FALSE(std::isfinite(c.at(i, 7))) << "col 7 row " << i;
   }
   EXPECT_TRUE(std::isfinite(c.at(0, 0)));
+}
+
+// TN reads A through its strip gather and the batched kernels index
+// slices: a NaN/Inf must land on exactly the outputs the naive loops
+// poison, in the poisoned slice only.
+TEST(GemmBlocked, NanAndInfPropagateThroughTnAndBatchedKernels) {
+  Rng rng(32);
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const int64_t m = 17, k = 9, n = 33;
+  Tensor at = rand_tensor({k, m}, rng);
+  Tensor b = rand_tensor({k, n}, rng);
+  at.at(2, 5) = qnan;  // poisons output row 5
+  b.at(4, 10) = inf;   // saturates output column 10
+  const Tensor c = gemm::matmul_tn_blocked(at, b, gemm::Blocking{4, 3, 8});
+  expect_bitwise_equal(c, gemm::matmul_tn_naive(at, b), "NaN/Inf tn blocked vs naive");
+  for (int64_t j = 0; j < n; ++j) EXPECT_TRUE(std::isnan(c.at(5, j))) << "row 5 col " << j;
+  for (int64_t i = 0; i < m; ++i) EXPECT_FALSE(std::isfinite(c.at(i, 10))) << "col 10 row " << i;
+  EXPECT_TRUE(std::isfinite(c.at(0, 0)));
+
+  const int64_t bs = 3;
+  Tensor ba = rand_tensor({bs, m, k}, rng);
+  Tensor ba_t = rand_tensor({bs, k, m}, rng);
+  Tensor bb = rand_tensor({bs, k, n}, rng);
+  Tensor bb_t = rand_tensor({bs, n, k}, rng);
+  ba.at(1, 5, 2) = qnan;
+  ba_t.at(1, 2, 5) = qnan;
+  bb.at(2, 4, 10) = inf;
+  bb_t.at(2, 10, 4) = inf;
+  for (const gemm::Blocking& blk : kBlockings) {
+    const Tensor cnn = gemm::bmm_blocked(ba, bb, blk);
+    const Tensor cnt = gemm::bmm_nt_blocked(ba, bb_t, blk);
+    const Tensor ctn = gemm::bmm_tn_blocked(ba_t, bb, blk);
+    expect_bitwise_equal(cnn, gemm::bmm_naive(ba, bb), "NaN/Inf bmm " + blk.to_string());
+    expect_bitwise_equal(cnt, gemm::bmm_nt_naive(ba, bb_t), "NaN/Inf bmm_nt " + blk.to_string());
+    expect_bitwise_equal(ctn, gemm::bmm_tn_naive(ba_t, bb), "NaN/Inf bmm_tn " + blk.to_string());
+    for (const Tensor* cp : {&cnn, &cnt, &ctn}) {
+      for (int64_t j = 0; j < n; ++j) {
+        EXPECT_TRUE(std::isnan(cp->at(1, 5, j)));
+        EXPECT_TRUE(std::isfinite(cp->at(0, 5, j)));
+      }
+      for (int64_t i = 0; i < m; ++i) {
+        EXPECT_FALSE(std::isfinite(cp->at(2, i, 10)));
+        EXPECT_TRUE(std::isfinite(cp->at(1, i, 10)) || i == 5);
+      }
+    }
+  }
 }
 
 // --- Packed integer kernel ---------------------------------------------------
@@ -273,6 +398,16 @@ TEST(GemmRegistry, UseBlockedPolicy) {
   EXPECT_FALSE(gemm::use_blocked(GemmKind::kNT, 1024, 1024, 4));    // n < kNr
   EXPECT_TRUE(gemm::use_blocked(GemmKind::kNN, 32, 32, 40));
   EXPECT_TRUE(gemm::use_blocked(GemmKind::kNT, 32, 32, 40));
+  // TN and batched calls go blocked from one full kMr x kNr tile and 2k
+  // MACs per slice.
+  EXPECT_TRUE(gemm::use_blocked(GemmKind::kTN, 4, 64, 8));
+  EXPECT_FALSE(gemm::use_blocked(GemmKind::kTN, 4, 8, 32));   // 1k MACs
+  EXPECT_FALSE(gemm::use_blocked(GemmKind::kTN, 2, 256, 64));  // m < kMr
+  EXPECT_FALSE(gemm::use_blocked(GemmKind::kTN, 64, 256, 4));  // n < kNr
+  EXPECT_FALSE(gemm::use_blocked(GemmKind::kNN, 32, 32, 16));
+  EXPECT_TRUE(gemm::use_blocked(GemmKind::kNN, 32, 32, 16, /*batch=*/32));
+  EXPECT_TRUE(gemm::use_blocked(GemmKind::kNT, 32, 16, 32, /*batch=*/32));
+  EXPECT_FALSE(gemm::use_blocked(GemmKind::kNT, 32, 16, 4, /*batch=*/32));
   // The packed kernel replaces a much slower scalar reference, so its
   // threshold is far lower than the dense one.
   EXPECT_TRUE(gemm::use_blocked(GemmKind::kPackedNT, 8, 64, 8));

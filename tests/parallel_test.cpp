@@ -4,9 +4,8 @@
 //     falls back to serial execution when it should;
 //   - every parallelised kernel is bitwise identical to its serial result
 //     at any thread count (the backend's core guarantee);
-//   - the dense matmul/bmm variants propagate NaN/Inf per IEEE semantics
-//     (0 * NaN == NaN), and the _skipzero variants document the masking
-//     they trade for the sparsity fast path;
+//   - the matmul/bmm variants propagate NaN/Inf per IEEE semantics
+//     (0 * NaN == NaN), also through exact zeros in sparse operands;
 //   - KvCachePool metrics accessors are safe to poll concurrently (run
 //     under TSan in CI);
 //   - training steps and served greedy decode are bitwise reproducible
@@ -23,6 +22,7 @@
 #include "core/tuner.hpp"
 #include "nn/decoder.hpp"
 #include "serve/engine.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
 #include "test_util.hpp"
@@ -213,8 +213,6 @@ TEST(Determinism, MatmulVariantsBitwiseIdenticalAcrossThreads) {
   const Tensor r_bmm = ops::bmm(ba, bb);
   const Tensor r_bnt = ops::bmm_nt(ba, bb_t);
   const Tensor r_btn = ops::bmm_tn(ba_t, bb);
-  const Tensor r_mm_sz = ops::matmul_skipzero(a, b);
-  const Tensor r_btn_sz = ops::bmm_tn_skipzero(ba_t, bb);
 
   for (const int64_t nt : {2, 8}) {
     parallel::set_num_threads(nt);
@@ -224,8 +222,6 @@ TEST(Determinism, MatmulVariantsBitwiseIdenticalAcrossThreads) {
     expect_bitwise_equal(ops::bmm(ba, bb), r_bmm, "bmm");
     expect_bitwise_equal(ops::bmm_nt(ba, bb_t), r_bnt, "bmm_nt");
     expect_bitwise_equal(ops::bmm_tn(ba_t, bb), r_btn, "bmm_tn");
-    expect_bitwise_equal(ops::matmul_skipzero(a, b), r_mm_sz, "matmul_skipzero");
-    expect_bitwise_equal(ops::bmm_tn_skipzero(ba_t, bb), r_btn_sz, "bmm_tn_skipzero");
   }
 }
 
@@ -259,10 +255,10 @@ TEST(Determinism, ElementwiseAndSoftmaxBitwiseIdenticalAcrossThreads) {
   }
 }
 
-// --- IEEE NaN/Inf propagation (the zero-skip bugfix) ------------------------
+// --- IEEE NaN/Inf propagation ----------------------------------------------
 
-// The old kernels skipped the inner loop when A[i,p] == 0, so a zero in A
-// silently masked a NaN/Inf in B. The dense variants must now propagate:
+// Kernels that skipped the inner loop when A[i,p] == 0 let a zero in A
+// silently mask a NaN/Inf in B. Every variant must propagate:
 // 0 * NaN == NaN and 0 * Inf == NaN.
 TEST(Numerics, MatmulPropagatesNanThroughZeroRows) {
   ThreadGuard guard;
@@ -281,6 +277,20 @@ TEST(Numerics, MatmulPropagatesNanThroughZeroRows) {
     EXPECT_TRUE(std::isnan(c.at(0, 1))) << "0 * Inf must be NaN (nt=" << nt << ")";
     EXPECT_TRUE(std::isnan(c.at(1, 1)));
   }
+
+  // Sparse A at a blocked-dispatch shape: on finite inputs the exact zeros
+  // contribute +0 terms and the result equals the naive reference bitwise;
+  // a NaN in B behind a zero column of A still poisons every output row.
+  Rng rng(9);
+  Tensor sa = rand_tensor({40, 36}, rng);
+  Tensor sb = rand_tensor({36, 48}, rng);
+  for (int64_t i = 0; i < sa.numel(); i += 3) sa[i] = 0.0f;
+  for (int64_t i = 0; i < 40; ++i) sa.at(i, 5) = 0.0f;
+  ASSERT_TRUE(ops::gemm::use_blocked(ops::gemm::GemmKind::kNN, 40, 36, 48));
+  expect_bitwise_equal(ops::matmul(sa, sb), ops::gemm::matmul_naive(sa, sb), "sparse matmul");
+  sb.at(5, 7) = qnan;
+  const Tensor sc = ops::matmul(sa, sb);
+  for (int64_t i = 0; i < 40; ++i) EXPECT_TRUE(std::isnan(sc.at(i, 7))) << "row " << i;
 }
 
 TEST(Numerics, MatmulTnAndNtPropagateNan) {
@@ -330,44 +340,27 @@ TEST(Numerics, BmmVariantsPropagateNan) {
   EXPECT_EQ(c_tn.at(0, 0, 1), 0.0f);
   EXPECT_TRUE(std::isnan(c_tn.at(1, 0, 1)));
   EXPECT_TRUE(std::isnan(c_tn.at(1, 1, 1)));
-}
 
-// The _skipzero variants keep the old fast path — and its documented
-// contract: a zero in A masks a NaN at the matching position of B. This
-// test pins the contract so a change to it is a deliberate decision.
-TEST(Numerics, SkipzeroVariantsMaskNanBehindZeros) {
-  ThreadGuard guard;
-  const float qnan = std::numeric_limits<float>::quiet_NaN();
-
-  Tensor a({2, 3});  // all zeros -> every product is skipped
-  Tensor b({3, 2});
-  b.at(1, 0) = qnan;
-  const Tensor c = ops::matmul_skipzero(a, b);
-  for (int64_t i = 0; i < c.numel(); ++i) EXPECT_EQ(c[i], 0.0f) << i;
-
-  Tensor ba_t({1, 3, 2});
-  Tensor bb({1, 3, 2});
-  bb.at(0, 0, 0) = qnan;
-  const Tensor c_tn = ops::bmm_tn_skipzero(ba_t, bb);
-  for (int64_t i = 0; i < c_tn.numel(); ++i) EXPECT_EQ(c_tn[i], 0.0f) << i;
-}
-
-// On finite inputs the skipzero fast path must agree with the dense kernel
-// exactly: it skips terms that contribute +0.0f in the same accumulation
-// order, so results are bitwise identical.
-TEST(Numerics, SkipzeroMatchesDenseOnFiniteInputs) {
-  ThreadGuard guard;
-  Rng rng(9);
-  Tensor a = rand_tensor({6, 8}, rng);
-  const Tensor b = rand_tensor({8, 5}, rng);
-  for (int64_t i = 0; i < a.numel(); i += 3) a[i] = 0.0f;  // plant real sparsity
-  expect_bitwise_equal(ops::matmul_skipzero(a, b), ops::matmul(a, b), "skipzero vs dense");
-
-  Tensor ba_t = rand_tensor({3, 4, 6}, rng);
-  const Tensor bb = rand_tensor({3, 4, 5}, rng);
-  for (int64_t i = 0; i < ba_t.numel(); i += 2) ba_t[i] = 0.0f;
-  expect_bitwise_equal(ops::bmm_tn_skipzero(ba_t, bb), ops::bmm_tn(ba_t, bb),
-                       "bmm_tn_skipzero vs dense");
+  // The attention backward's grad_v = bmm_tn(probs, grad_ctx): causal
+  // probs hold exact zeros above the diagonal (probs[p][i] == 0 for i > p).
+  // On finite inputs the dense kernel equals the naive reference bitwise;
+  // a NaN in grad_ctx row 0 reaches every output row, including the rows
+  // whose weight on it is an exact zero.
+  Rng rng(10);
+  const int64_t heads = 3, t = 12, dh = 16;
+  Tensor probs = rand_tensor({heads, t, t}, rng);
+  for (int64_t h = 0; h < heads; ++h) {
+    for (int64_t p = 0; p < t; ++p) {
+      for (int64_t i = p + 1; i < t; ++i) probs.at(h, p, i) = 0.0f;
+    }
+  }
+  Tensor grad_ctx = rand_tensor({heads, t, dh}, rng);
+  expect_bitwise_equal(ops::bmm_tn(probs, grad_ctx), ops::gemm::bmm_tn_naive(probs, grad_ctx),
+                       "causal bmm_tn");
+  grad_ctx.at(2, 0, 3) = qnan;
+  const Tensor gv = ops::bmm_tn(probs, grad_ctx);
+  for (int64_t i = 0; i < t; ++i) EXPECT_TRUE(std::isnan(gv.at(2, i, 3))) << "row " << i;
+  EXPECT_FALSE(std::isnan(gv.at(1, 5, 3)));
 }
 
 // --- KvCachePool concurrent metrics (TSan target) ---------------------------

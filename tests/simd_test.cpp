@@ -105,6 +105,8 @@ TEST(SimdDispatch, TablesCompleteAndNamed) {
     EXPECT_NE(t->scale_inplace, nullptr);
     EXPECT_NE(t->silu, nullptr);
     EXPECT_NE(t->swiglu, nullptr);
+    EXPECT_NE(t->gelu, nullptr);
+    EXPECT_NE(t->gelu_grad, nullptr);
     EXPECT_NE(t->add, nullptr);
     EXPECT_NE(t->rms_apply, nullptr);
     EXPECT_NE(t->sumsq_fast, nullptr);
@@ -238,6 +240,14 @@ TEST(SimdBitwise, ElementwiseMatchScalarIncludingNonFinite) {
       x[static_cast<size_t>(n) - 1] = std::numeric_limits<float>::infinity();
       x[static_cast<size_t>(n) - 2] = -std::numeric_limits<float>::infinity();
     }
+    // gelu_grad's upstream gradient: NaNs with their own payloads, one
+    // alongside x's NaN (x's must win) and one on its own, plus an Inf.
+    std::vector<float> g = b;
+    if (n >= 8) {
+      g[3] = std::bit_cast<float>(0x7fc54321u);
+      g[5] = std::bit_cast<float>(0xffc12345u);
+      g[static_cast<size_t>(n) - 3] = std::numeric_limits<float>::infinity();
+    }
     std::vector<float> y0(static_cast<size_t>(n)), y1(static_cast<size_t>(n));
     const std::string tag = " n=" + std::to_string(n);
 
@@ -259,6 +269,14 @@ TEST(SimdBitwise, ElementwiseMatchScalarIncludingNonFinite) {
     native->swiglu(x.data(), b.data(), y1.data(), n);
     expect_bitwise_equal(y1.data(), y0.data(), n, "swiglu" + tag);
 
+    scalar->gelu(x.data(), y0.data(), n);
+    native->gelu(x.data(), y1.data(), n);
+    expect_bitwise_equal(y1.data(), y0.data(), n, "gelu" + tag);
+
+    scalar->gelu_grad(x.data(), g.data(), y0.data(), n);
+    native->gelu_grad(x.data(), g.data(), y1.data(), n);
+    expect_bitwise_equal(y1.data(), y0.data(), n, "gelu_grad" + tag);
+
     scalar->add(x.data(), b.data(), y0.data(), n);
     native->add(x.data(), b.data(), y1.data(), n);
     expect_bitwise_equal(y1.data(), y0.data(), n, "add" + tag);
@@ -273,7 +291,8 @@ TEST(SimdBitwise, ElementwiseMatchScalarIncludingNonFinite) {
 
 // Shapes that stress micro-tile boundaries (kMr=4, kNr=8) and odd tails;
 // blocking {4,3,8} forces odd kc so the int4 kernel's misaligned-nibble
-// head path runs at k-block seams.
+// head path runs at k-block seams. Covers every GEMM layout (NN/NT/TN, 2-d
+// and batched), packed NT, and the elementwise ops including GELU.
 TEST(SimdBitwise, OpsIdenticalAcrossDispatchAndThreads) {
   DispatchScope scope;
   Rng rng(404);
@@ -290,6 +309,13 @@ TEST(SimdBitwise, OpsIdenticalAcrossDispatchAndThreads) {
     const Tensor gain = rand_tensor({s.k}, rng);
     const quant::PackedMatrix w4 = quant::PackedMatrix::pack(bt, 4);
     const quant::PackedMatrix w8 = quant::PackedMatrix::pack(bt, 8);
+    // TN and batched (3 slices) operands of the same per-slice shape.
+    const Tensor at = rand_tensor({s.k, s.m}, rng);
+    const Tensor b = rand_tensor({s.k, s.n}, rng);
+    const Tensor ba = rand_tensor({3, s.m, s.k}, rng);
+    const Tensor ba_t = rand_tensor({3, s.k, s.m}, rng);
+    const Tensor bb = rand_tensor({3, s.k, s.n}, rng);
+    const Tensor bb_t = rand_tensor({3, s.n, s.k}, rng);
 
     for (int64_t threads : {int64_t{1}, int64_t{2}, int64_t{8}}) {
       parallel::NumThreadsScope nts(threads);
@@ -308,6 +334,14 @@ TEST(SimdBitwise, OpsIdenticalAcrossDispatchAndThreads) {
       want.push_back(ops::swiglu(gate, up));
       want.push_back(ops::rms_norm_lastdim(a, gain, 1e-5f));
       want.push_back(ops::add(gate, up));
+      want.push_back(ops::gelu(gate));
+      want.push_back(ops::gelu_grad(gate, up));
+      for (const auto& blk : blockings) {
+        want.push_back(gemm::matmul_tn_blocked(at, b, blk, false));
+        want.push_back(gemm::bmm_blocked(ba, bb, blk, false));
+        want.push_back(gemm::bmm_nt_blocked(ba, bb_t, blk, false));
+        want.push_back(gemm::bmm_tn_blocked(ba_t, bb, blk, false));
+      }
 
       ASSERT_TRUE(simd::set_dispatch("auto"));
       std::vector<Tensor> got;
@@ -321,6 +355,14 @@ TEST(SimdBitwise, OpsIdenticalAcrossDispatchAndThreads) {
       got.push_back(ops::swiglu(gate, up));
       got.push_back(ops::rms_norm_lastdim(a, gain, 1e-5f));
       got.push_back(ops::add(gate, up));
+      got.push_back(ops::gelu(gate));
+      got.push_back(ops::gelu_grad(gate, up));
+      for (const auto& blk : blockings) {
+        got.push_back(gemm::matmul_tn_blocked(at, b, blk, false));
+        got.push_back(gemm::bmm_blocked(ba, bb, blk, false));
+        got.push_back(gemm::bmm_nt_blocked(ba, bb_t, blk, false));
+        got.push_back(gemm::bmm_tn_blocked(ba_t, bb, blk, false));
+      }
 
       ASSERT_EQ(got.size(), want.size());
       for (size_t i = 0; i < want.size(); ++i) {
