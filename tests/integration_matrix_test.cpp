@@ -2,6 +2,8 @@
 // model) under every combination of the tuner's feature flags.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/pipeline.hpp"
 #include "data/eval.hpp"
 #include "test_util.hpp"
@@ -11,12 +13,19 @@ namespace {
 
 using edgellm::testing::tiny_config;
 
+// ctest names each case after the raw bytes of its MatrixCase (gtest prints
+// a type without operator<< byte by byte). The two bytes after the flags
+// used to be uninitialised padding, so the names changed from run to run;
+// `name_bytes` fills that slot with the values the names were first
+// recorded with, so every case keeps one stable name. The test never reads it.
 struct MatrixCase {
   int64_t window;        // <=0 = full depth
   bool checkpoint;
   bool quantized_optim;
+  uint8_t name_bytes[2];
   core::DepthSampling sampling;
 };
+static_assert(sizeof(MatrixCase) == 16, "case names are the 16 bytes of MatrixCase");
 
 class TunerMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
@@ -60,15 +69,15 @@ TEST_P(TunerMatrix, AdaptationImprovesLoss) {
 INSTANTIATE_TEST_SUITE_P(
     AllFlagCombos, TunerMatrix,
     ::testing::Values(
-        MatrixCase{0, false, false, core::DepthSampling::kFinalOnly},
-        MatrixCase{0, true, false, core::DepthSampling::kFinalOnly},
-        MatrixCase{0, false, true, core::DepthSampling::kFinalOnly},
-        MatrixCase{0, true, true, core::DepthSampling::kFinalOnly},
-        MatrixCase{2, false, false, core::DepthSampling::kUniform},
-        MatrixCase{2, false, true, core::DepthSampling::kUniform},
-        MatrixCase{2, false, false, core::DepthSampling::kCyclic},
-        MatrixCase{2, false, false, core::DepthSampling::kLossWeighted},
-        MatrixCase{1, false, true, core::DepthSampling::kCyclic}));
+        MatrixCase{0, false, false, {0x41, 0x4C}, core::DepthSampling::kFinalOnly},
+        MatrixCase{0, true, false, {0x00, 0x00}, core::DepthSampling::kFinalOnly},
+        MatrixCase{0, false, true, {0x00, 0x00}, core::DepthSampling::kFinalOnly},
+        MatrixCase{0, true, true, {0x04, 0x00}, core::DepthSampling::kFinalOnly},
+        MatrixCase{2, false, false, {0x00, 0x00}, core::DepthSampling::kUniform},
+        MatrixCase{2, false, true, {0x00, 0x00}, core::DepthSampling::kUniform},
+        MatrixCase{2, false, false, {0x04, 0x00}, core::DepthSampling::kCyclic},
+        MatrixCase{2, false, false, {0x70, 0x00}, core::DepthSampling::kLossWeighted},
+        MatrixCase{1, false, true, {0x55, 0x00}, core::DepthSampling::kCyclic}));
 
 // Pipeline-level matrix: compression on/off x voting modes, with quality
 // and artifact checks.
