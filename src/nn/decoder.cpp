@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "obs/trace.hpp"
 #include "quant/packed.hpp"
@@ -99,25 +98,17 @@ void attend_one(const ModelConfig& cfg, const KvSequenceView& cache, int64_t lay
 // Linear::forward against a cached effective weight: the same kernels in
 // the same order (matmul_nt then add_bias), so outputs are bitwise
 // identical. Falls back to lin.forward when the cache has no entry for this
-// layer (no cache supplied, or a LoRA-enabled Linear).
+// layer (no cache supplied, or a LoRA-enabled Linear). Decode activations
+// are always stacked rows [rows, in].
 Tensor cached_linear(Linear& lin, const Tensor& x, const DecodeWeightCache* wc) {
   const quant::PackedMatrix* pw = wc != nullptr ? wc->find_packed(&lin) : nullptr;
   const Tensor* w = wc != nullptr ? wc->find(&lin) : nullptr;
   if (pw == nullptr && w == nullptr) return lin.forward(x);
-  const int64_t in = lin.in_features();
-  check_arg(x.dim(-1) == in, "cached_linear: input feature mismatch");
-  const int64_t rows = x.numel() / in;
-  // reshape() copies; decode activations are already [rows, in], so skip it.
-  Tensor y = pw != nullptr
-                 ? (x.ndim() == 2 ? quant::packed_matmul_nt(x, *pw)
-                                  : quant::packed_matmul_nt(x.reshape({rows, in}), *pw))
-                 : (x.ndim() == 2 ? ops::matmul_nt(x, *w)
-                                  : ops::matmul_nt(x.reshape({rows, in}), *w));
+  check_arg(x.ndim() == 2 && x.dim(1) == lin.in_features(),
+            "cached_linear: input must be [rows, in_features]");
+  Tensor y = pw != nullptr ? quant::packed_matmul_nt(x, *pw) : ops::matmul_nt(x, *w);
   if (lin.has_bias()) y = ops::add_bias(y, lin.bias().value);
-  if (x.ndim() == 2) return y;
-  Shape out_shape = x.shape();
-  out_shape.back() = lin.out_features();
-  return y.reshape(std::move(out_shape));
+  return y;
 }
 
 // Mlp::forward's eval path with cached weights (see cached_linear).
@@ -129,6 +120,104 @@ Tensor cached_mlp(Mlp& mlp, const Tensor& x, const DecodeWeightCache* wc) {
   const Tensor g = cached_linear(mlp.fc1(), x, wc);
   const Tensor u = cached_linear(mlp.fc3(), x, wc);
   return cached_linear(mlp.fc2(), ops::swiglu(g, u), wc);
+}
+
+// Exit head `eidx` over stacked hidden rows: [rows, vocab].
+Tensor exit_logits(CausalLm& model, int64_t eidx, const Tensor& x, const DecodeWeightCache* wc) {
+  return cached_linear(model.exit_head(eidx), model.exit_norm(eidx).forward(x), wc);
+}
+
+// One stacked row of a forward step: the token at `position` of the
+// sequence cached in `cache`, which runs the layers below `depth`.
+struct StepRow {
+  KvSequenceView* cache;
+  int64_t position;
+  int64_t depth;
+};
+
+// Token plus positional embedding of every row: [rows.size(), d_model].
+Tensor embed_rows(CausalLm& model, const std::vector<int64_t>& tokens,
+                  std::span<const StepRow> rows) {
+  const int64_t c = model.config().d_model;
+  Tensor x = model.token_embedding().forward(tokens);
+  const Param& pos = model.positional_embedding();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const int64_t b = static_cast<int64_t>(r);
+    for (int64_t d = 0; d < c; ++d) x[b * c + d] += pos.value[rows[r].position * c + d];
+  }
+  return x;
+}
+
+// The one transformer forward step behind every decode path (one-token
+// decode, chunked prefill, speculative draft and verify): runs layers
+// [lo, hi) over the stacked hidden rows `x` [rows.size(), d_model] in place.
+// A row skips every layer at or past its depth. Rows of one sequence are
+// contiguous and in position order; at each layer they append their K/V in
+// that order and the row at position p attends over exactly the first p+1
+// cached rows, so every row sees the cache a token-at-a-time decode would —
+// the source of every bitwise-identity contract in this file. Everything else is row-independent and runs
+// stacked, so the effective-weight lookups and tensor allocations are paid
+// once per layer for all rows. Opens no span: callers name the work.
+void forward_rows(CausalLm& model, Tensor& x, std::span<const StepRow> rows, int64_t lo,
+                  int64_t hi, const DecodeWeightCache* weights) {
+  const ModelConfig& cfg = model.config();
+  const int64_t c = cfg.d_model;
+  const int64_t kvd = cfg.kv_dim();
+  const int64_t n_rows = static_cast<int64_t>(rows.size());
+  for (int64_t li = lo; li < hi; ++li) {
+    std::vector<int64_t> alive;   // rows whose depth still needs this layer
+    std::vector<int64_t> starts;  // index into `alive` where each sequence begins
+    for (int64_t r = 0; r < n_rows; ++r) {
+      const StepRow& row = rows[static_cast<size_t>(r)];
+      if (row.depth <= li) continue;
+      if (alive.empty() || rows[static_cast<size_t>(alive.back())].cache != row.cache) {
+        starts.push_back(static_cast<int64_t>(alive.size()));
+      }
+      alive.push_back(r);
+    }
+    const int64_t n = static_cast<int64_t>(alive.size());
+    if (n == 0) return;  // depths only shrink the live set
+    starts.push_back(n);
+    TransformerBlock& block = model.block(li);
+    MultiHeadAttention& attn = block.attention();
+
+    // When every row is alive (uniform exit depths — the common case) the
+    // layer operates on `x` directly instead of paying a gather/scatter
+    // round trip.
+    const bool all_alive = n == n_rows;
+    Tensor xa = all_alive ? std::move(x) : gather_rows(x, alive, c);
+    const Tensor h = block.norm1().forward(xa);
+    const Tensor q = cached_linear(attn.q_proj(), h, weights);  // [n, c]
+    const Tensor k = cached_linear(attn.k_proj(), h, weights);  // [n, kvd]
+    const Tensor v = cached_linear(attn.v_proj(), h, weights);
+
+    // Attention fans out per sequence: each owns its cache and its ctx
+    // rows, and sequences are independent of one another, so any partition
+    // is bitwise identical to the serial loop. Scratch is per chunk
+    // (attend_one reuses it across a chunk's rows but never shares it
+    // between threads).
+    Tensor ctx({n, c});
+    const int64_t n_seqs = static_cast<int64_t>(starts.size()) - 1;
+    parallel::parallel_for(0, n_seqs, 1, [&](int64_t s_lo, int64_t s_hi) {
+      std::vector<float> row_scratch, score_scratch;
+      for (int64_t j = starts[static_cast<size_t>(s_lo)]; j < starts[static_cast<size_t>(s_hi)];
+           ++j) {
+        const StepRow& row = rows[static_cast<size_t>(alive[static_cast<size_t>(j)])];
+        row.cache->append(li, k.raw() + j * kvd, v.raw() + j * kvd);
+        attend_one(cfg, *row.cache, li, row.position + 1, q.raw() + j * c, ctx.raw() + j * c,
+                   row_scratch, score_scratch);
+      }
+    });
+    const Tensor attn_out = cached_linear(attn.out_proj(), ctx, weights);
+    ops::add_inplace(xa, attn_out);
+    const Tensor h2 = block.norm2().forward(xa);
+    ops::add_inplace(xa, cached_mlp(block.mlp(), h2, weights));
+    if (all_alive) {
+      x = std::move(xa);
+    } else {
+      scatter_rows(xa, alive, x, c);
+    }
+  }
 }
 
 }  // namespace
@@ -186,114 +275,70 @@ void batched_decode_step(CausalLm& model, std::span<BatchedSeq> seqs,
   const obs::ScopedSpan span("decode/step");
   const ModelConfig& cfg = model.config();
   const int64_t c = cfg.d_model;
-  const int64_t kvd = cfg.kv_dim();
-  const int64_t B = static_cast<int64_t>(seqs.size());
 
   check_arg(!model.token_embedding().grad_enabled(),
             "batched_decode_step: call model.set_eval() first");
 
-  std::vector<int64_t> depth(static_cast<size_t>(B));
-  std::vector<int64_t> tokens(static_cast<size_t>(B));
+  // One stacked row per fed token, each sequence's rows contiguous.
+  std::vector<StepRow> rows;
+  std::vector<int64_t> tokens;
+  std::vector<int64_t> last_row(seqs.size());  // each sequence's last row
   int64_t max_depth = 0;
-  for (int64_t b = 0; b < B; ++b) {
-    BatchedSeq& s = seqs[static_cast<size_t>(b)];
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    BatchedSeq& s = seqs[i];
     check_arg(s.cache != nullptr, "batched_decode_step: null cache");
     const int64_t d = s.all_exits || s.exit_layer == 0 ? cfg.n_layers : s.exit_layer;
     (void)model.exit_index(d);  // validates the exit is registered
     check_arg(s.cache->n_layers() >= d, "batched_decode_step: cache has too few layers");
-    check_arg(s.cache->kv_dim() == kvd, "batched_decode_step: cache kv_dim mismatch");
-    check_arg(s.position < cfg.max_seq, "batched_decode_step: context window exhausted");
+    check_arg(s.cache->kv_dim() == cfg.kv_dim(), "batched_decode_step: cache kv_dim mismatch");
+    check_arg(!s.tokens.empty(), "batched_decode_step: no tokens to feed");
+    check_arg(s.position + static_cast<int64_t>(s.tokens.size()) <= cfg.max_seq,
+              "batched_decode_step: context window exhausted");
     check_arg(s.position == s.cache->positions(0),
               "batched_decode_step: position does not match cache");
-    check_arg(s.token >= 0 && s.token < cfg.vocab, "batched_decode_step: token out of range");
-    depth[static_cast<size_t>(b)] = d;
+    for (size_t j = 0; j < s.tokens.size(); ++j) {
+      check_arg(s.tokens[j] >= 0 && s.tokens[j] < cfg.vocab,
+                "batched_decode_step: token out of range");
+      tokens.push_back(s.tokens[j]);
+      rows.push_back({s.cache, s.position + static_cast<int64_t>(j), d});
+    }
+    last_row[i] = static_cast<int64_t>(rows.size()) - 1;
     max_depth = std::max(max_depth, d);
-    tokens[static_cast<size_t>(b)] = s.token;
     s.logits.clear();
   }
 
-  // Embed the whole batch in one call, then add each row's own position.
-  Tensor x = model.token_embedding().forward(tokens);  // [B, c]
-  const Param& pos = model.positional_embedding();
-  for (int64_t b = 0; b < B; ++b) {
-    const int64_t p = seqs[static_cast<size_t>(b)].position;
-    for (int64_t d = 0; d < c; ++d) x[b * c + d] += pos.value[p * c + d];
-  }
-
-  auto blocks = model.blocks();
-  for (int64_t li = 0; li < max_depth; ++li) {
-    // Rows whose exit depth still needs this layer.
-    std::vector<int64_t> alive;
-    for (int64_t b = 0; b < B; ++b) {
-      if (depth[static_cast<size_t>(b)] > li) alive.push_back(b);
-    }
-    TransformerBlock& block = *blocks[static_cast<size_t>(li)];
-    MultiHeadAttention& attn = block.attention();
-
-    // All alive rows share one pass through the layer's norms/projections:
-    // the effective-weight materialisation and tensor allocations are paid
-    // once for the batch instead of once per sequence. When every row is
-    // alive (uniform exit depths — the common case) the layer operates on
-    // `x` directly instead of paying a gather/scatter round trip.
-    const bool all_alive = static_cast<int64_t>(alive.size()) == B;
-    Tensor xa = all_alive ? std::move(x) : gather_rows(x, alive, c);
-    const Tensor h = block.norm1().forward(xa);
-    const Tensor q = cached_linear(attn.q_proj(), h, weights);  // [Ba, c]
-    const Tensor k = cached_linear(attn.k_proj(), h, weights);  // [Ba, kvd]
-    const Tensor v = cached_linear(attn.v_proj(), h, weights);
-
-    // Per-sequence attention parallelises across the batch: every row owns
-    // its own cache and its own ctx row, and each sequence's computation is
-    // independent of the others, so any partition is bitwise identical to
-    // the serial loop. Scratch is per-chunk (attend_one reuses it across a
-    // chunk's sequences but never shares it between threads).
-    const int64_t n_alive = static_cast<int64_t>(alive.size());
-    Tensor ctx({n_alive, c});
-    parallel::parallel_for(0, n_alive, 1, [&](int64_t lo, int64_t hi) {
-      std::vector<float> row_scratch, score_scratch;
-      for (int64_t j = lo; j < hi; ++j) {
-        BatchedSeq& s = seqs[static_cast<size_t>(alive[static_cast<size_t>(j)])];
-        s.cache->append(li, k.raw() + j * kvd, v.raw() + j * kvd);
-        attend_one(cfg, *s.cache, li, s.position + 1, q.raw() + j * c, ctx.raw() + j * c,
-                   row_scratch, score_scratch);
+  // Each segment between registered exits runs stacked, then the heads owned
+  // by its end depth: sequences exiting there, plus every all-exits (voting)
+  // sequence, each read from its last row.
+  Tensor x = embed_rows(model, tokens, rows);
+  int64_t lo = 0;
+  for (const int64_t d : cfg.exit_layers) {
+    if (d > max_depth) break;
+    forward_rows(model, x, rows, lo, d, weights);
+    lo = d;
+    std::vector<size_t> need;
+    std::vector<int64_t> need_rows;
+    for (size_t i = 0; i < seqs.size(); ++i) {
+      const int64_t r = last_row[i];
+      if (!seqs[i].want_logits) continue;
+      if (seqs[i].all_exits || rows[static_cast<size_t>(r)].depth == d) {
+        need.push_back(i);
+        need_rows.push_back(r);
       }
-    });
-    const Tensor attn_out = cached_linear(attn.out_proj(), ctx, weights);
-    ops::add_inplace(xa, attn_out);
-    const Tensor h2 = block.norm2().forward(xa);
-    ops::add_inplace(xa, cached_mlp(block.mlp(), h2, weights));
-    if (all_alive) {
-      x = std::move(xa);
-    } else {
-      scatter_rows(xa, alive, x, c);
-    }
-
-    // Exit heads owned by depth li+1: rows exiting here, plus every
-    // all-exits (voting) row.
-    const int64_t d = li + 1;
-    const auto& exits = cfg.exit_layers;
-    if (std::find(exits.begin(), exits.end(), d) == exits.end()) continue;
-    const int64_t eidx = model.exit_index(d);
-    std::vector<int64_t> need;
-    for (int64_t b = 0; b < B; ++b) {
-      const BatchedSeq& s = seqs[static_cast<size_t>(b)];
-      if (!s.want_logits) continue;
-      if (s.all_exits || depth[static_cast<size_t>(b)] == d) need.push_back(b);
     }
     if (need.empty()) continue;
     Tensor gathered;
     const Tensor* e = &x;
-    if (static_cast<int64_t>(need.size()) != B) {
-      gathered = gather_rows(x, need, c);
+    if (need_rows.size() != rows.size()) {
+      gathered = gather_rows(x, need_rows, c);
       e = &gathered;
     }
-    const Tensor logits = cached_linear(model.exit_head(eidx), model.exit_norm(eidx).forward(*e),
-                                        weights);  // [Bn, vocab]
+    const Tensor logits = exit_logits(model, model.exit_index(d), *e, weights);  // [Bn, vocab]
     for (size_t j = 0; j < need.size(); ++j) {
       Tensor out({cfg.vocab});
       std::memcpy(out.raw(), logits.raw() + static_cast<int64_t>(j) * cfg.vocab,
                   static_cast<size_t>(cfg.vocab) * sizeof(float));
-      seqs[static_cast<size_t>(need[j])].logits.push_back(std::move(out));
+      seqs[need[j]].logits.push_back(std::move(out));
     }
   }
 }
@@ -303,21 +348,10 @@ Tensor decode_step(CausalLm& model, KvCache& cache, int64_t position, int64_t to
   BatchedSeq s;
   s.cache = &cache;
   s.position = position;
-  s.token = token;
+  s.tokens = std::span<const int64_t>(&token, 1);
   s.exit_layer = exit_layer;
   batched_decode_step(model, std::span<BatchedSeq>(&s, 1), weights);
   return std::move(s.logits.at(0));
-}
-
-std::vector<Tensor> decode_step_all_exits(CausalLm& model, KvCache& cache, int64_t position,
-                                          int64_t token) {
-  BatchedSeq s;
-  s.cache = &cache;
-  s.position = position;
-  s.token = token;
-  s.all_exits = true;
-  batched_decode_step(model, std::span<BatchedSeq>(&s, 1));
-  return std::move(s.logits);
 }
 
 SpeculativeResult speculative_decode_step(CausalLm& model, KvSequenceView& cache,
@@ -326,14 +360,13 @@ SpeculativeResult speculative_decode_step(CausalLm& model, KvSequenceView& cache
   const obs::ScopedSpan span("decode/speculative");
   const ModelConfig& cfg = model.config();
   const int64_t c = cfg.d_model;
-  const int64_t kvd = cfg.kv_dim();
   check_arg(!model.token_embedding().grad_enabled(),
             "speculative_decode_step: call model.set_eval() first");
   check_arg(k >= 1, "speculative_decode_step: k must be >= 1");
   (void)model.exit_index(draft_depth);  // draft head must be a registered exit
   check_arg(cache.n_layers() >= cfg.n_layers,
             "speculative_decode_step: cache has too few layers for full-depth verify");
-  check_arg(cache.kv_dim() == kvd, "speculative_decode_step: cache kv_dim mismatch");
+  check_arg(cache.kv_dim() == cfg.kv_dim(), "speculative_decode_step: cache kv_dim mismatch");
   check_arg(position + k <= cfg.max_seq,
             "speculative_decode_step: draft window exceeds the context");
   check_arg(position == cache.positions(0),
@@ -342,52 +375,34 @@ SpeculativeResult speculative_decode_step(CausalLm& model, KvSequenceView& cache
   SpeculativeResult res;
 
   // Draft phase: k-1 greedy continuations from the shallow exit. Each draft
-  // row runs layers [0, draft_depth) ONCE, through the same kernels the
+  // row runs layers [0, draft_depth) ONCE, through the same forward step the
   // verify pass uses, appending its shallow KV rows and keeping its hidden
-  // state (the input to layer draft_depth). The verify pass reuses both —
-  // recomputing them would be bit-identical, so skipping the recompute
-  // preserves the equivalence contract while making a full-acceptance round
-  // cost the same layer-rows as k sequential full-depth steps.
+  // state (the input to layer draft_depth) as its row of `x`. The verify
+  // pass reuses both — recomputing them would be bit-identical, so skipping
+  // the recompute preserves the equivalence contract while making a
+  // full-acceptance round cost the same layer-rows as k sequential
+  // full-depth steps.
   std::vector<int64_t> fed;
   fed.reserve(static_cast<size_t>(k));
   fed.push_back(token);
-  auto blocks = model.blocks();
-  const Param& pos = model.positional_embedding();
+  std::vector<StepRow> rows;
+  for (int64_t j = 0; j < k; ++j) rows.push_back({&cache, position + j, cfg.n_layers});
+  Tensor x({k, c});
 
-  // Layers [0, draft_depth) for one token row: appends shallow KV, returns
-  // the hidden row [1, c] that both the draft exit head and layer
-  // draft_depth consume.
-  const auto shallow_row = [&](int64_t p, int64_t tok) {
-    Tensor x = model.token_embedding().forward(std::vector<int64_t>{tok});  // [1, c]
-    for (int64_t d = 0; d < c; ++d) x[d] += pos.value[p * c + d];
-    std::vector<float> row_scratch, score_scratch;
-    for (int64_t li = 0; li < draft_depth; ++li) {
-      TransformerBlock& block = *blocks[static_cast<size_t>(li)];
-      MultiHeadAttention& attn = block.attention();
-      const Tensor h = block.norm1().forward(x);
-      const Tensor q = cached_linear(attn.q_proj(), h, weights);
-      const Tensor kp = cached_linear(attn.k_proj(), h, weights);
-      const Tensor vp = cached_linear(attn.v_proj(), h, weights);
-      Tensor ctx({int64_t{1}, c});
-      cache.append(li, kp.raw(), vp.raw());
-      attend_one(cfg, cache, li, p + 1, q.raw(), ctx.raw(), row_scratch, score_scratch);
-      const Tensor attn_out = cached_linear(attn.out_proj(), ctx, weights);
-      ops::add_inplace(x, attn_out);
-      const Tensor h2 = block.norm2().forward(x);
-      ops::add_inplace(x, cached_mlp(block.mlp(), h2, weights));
-    }
-    return x;
+  // Layers [0, draft_depth) for fed row j: returns its hidden row [1, c],
+  // which both the draft exit head and (via `x`) layer draft_depth consume.
+  const auto shallow_row = [&](int64_t j) {
+    const std::span<const StepRow> row(&rows[static_cast<size_t>(j)], 1);
+    Tensor h = embed_rows(model, {fed[static_cast<size_t>(j)]}, row);
+    forward_rows(model, h, row, 0, draft_depth, weights);
+    std::memcpy(x.raw() + j * c, h.raw(), static_cast<size_t>(c) * sizeof(float));
+    return h;
   };
-
-  std::vector<Tensor> hidden;  // per fed row, the input to layer draft_depth
-  hidden.reserve(static_cast<size_t>(k));
   {
     const obs::ScopedSpan draft_span("spec/draft");
     const int64_t didx = model.exit_index(draft_depth);
     for (int64_t j = 0; j + 1 < k; ++j) {
-      hidden.push_back(shallow_row(position + j, fed[static_cast<size_t>(j)]));
-      const Tensor lg = cached_linear(model.exit_head(didx),
-                                      model.exit_norm(didx).forward(hidden.back()), weights);
+      const Tensor lg = exit_logits(model, didx, shallow_row(j), weights);
       fed.push_back(ops::argmax_lastdim(lg)[0]);
       ++res.drafted;
     }
@@ -396,41 +411,12 @@ SpeculativeResult speculative_decode_step(CausalLm& model, KvSequenceView& cache
   // Verify phase: one stacked pass over all k fed rows through layers
   // [draft_depth, n_layers). The last fed row was never drafted from, so its
   // shallow layers run here first (it attends over every drafted row, in
-  // sequence order). Everything except attention is row-independent (the
-  // same kernels batched_decode_step uses), and attention appends then
-  // attends per row in sequence order, so row j sees exactly the
-  // position+j+1 cached rows a sequential decode would — the source of the
-  // bitwise-identity contract.
+  // sequence order).
   const obs::ScopedSpan verify_span("spec/verify");
-  hidden.push_back(shallow_row(position + k - 1, fed.back()));
-  Tensor x({k, c});
-  for (int64_t j = 0; j < k; ++j) {
-    std::memcpy(x.raw() + j * c, hidden[static_cast<size_t>(j)].raw(),
-                static_cast<size_t>(c) * sizeof(float));
-  }
-  hidden.clear();
-  for (int64_t li = draft_depth; li < cfg.n_layers; ++li) {
-    TransformerBlock& block = *blocks[static_cast<size_t>(li)];
-    MultiHeadAttention& attn = block.attention();
-    const Tensor h = block.norm1().forward(x);
-    const Tensor q = cached_linear(attn.q_proj(), h, weights);   // [k, c]
-    const Tensor kp = cached_linear(attn.k_proj(), h, weights);  // [k, kvd]
-    const Tensor vp = cached_linear(attn.v_proj(), h, weights);
-    Tensor ctx({k, c});
-    std::vector<float> row_scratch, score_scratch;
-    for (int64_t j = 0; j < k; ++j) {
-      cache.append(li, kp.raw() + j * kvd, vp.raw() + j * kvd);
-      attend_one(cfg, cache, li, position + j + 1, q.raw() + j * c, ctx.raw() + j * c,
-                 row_scratch, score_scratch);
-    }
-    const Tensor attn_out = cached_linear(attn.out_proj(), ctx, weights);
-    ops::add_inplace(x, attn_out);
-    const Tensor h2 = block.norm2().forward(x);
-    ops::add_inplace(x, cached_mlp(block.mlp(), h2, weights));
-  }
-  const int64_t eidx = model.exit_index(cfg.n_layers);
-  const Tensor logits = cached_linear(model.exit_head(eidx), model.exit_norm(eidx).forward(x),
-                                      weights);  // [k, vocab]
+  shallow_row(k - 1);
+  forward_rows(model, x, rows, draft_depth, cfg.n_layers, weights);
+  const Tensor logits =
+      exit_logits(model, model.exit_index(cfg.n_layers), x, weights);  // [k, vocab]
   const std::vector<int64_t> verified = ops::argmax_lastdim(logits);
 
   // Accept the longest agreeing prefix. Row 0 verifies the caller's token,
@@ -477,10 +463,13 @@ void IncrementalDecoder::prime(const std::vector<int64_t>& prompt) {
   // One effective-weight rebuild (prune + fake-quant) per prime instead of
   // one per layer per token.
   weights_.build(model_);
-  for (int64_t t : prompt) {
-    logits_ = decode_step(model_, cache_, position_, t, exit_layer_, &weights_);
-    ++position_;
-  }
+  BatchedSeq s;  // the whole prompt in one stacked call
+  s.cache = &cache_;
+  s.tokens = prompt;
+  s.exit_layer = exit_layer_;
+  batched_decode_step(model_, std::span<BatchedSeq>(&s, 1), &weights_);
+  logits_ = std::move(s.logits.at(0));
+  position_ = static_cast<int64_t>(prompt.size());
 }
 
 void IncrementalDecoder::step(int64_t token) {

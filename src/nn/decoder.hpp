@@ -4,13 +4,16 @@
 // per-layer key/value cache so each new token costs O(T) attention instead
 // of O(T^2) recompute.
 //
-// Two entry points share one implementation:
+// Every entry point runs the transformer layers through one internal
+// multi-row forward step (decoder.cpp): rows of many sequences are stacked
+// through each layer's norms/projections/MLP, so the weight
+// materialisation and per-call tensor allocations are paid once per layer,
+// and attention runs per sequence against its own cache.
+//   - batched_decode_step(): advances many sequences by one or more tokens
+//     in a single call — the serving engine's (src/serve) continuous-
+//     batching tick, decode and chunked prefill alike.
+//   - speculative_decode_step(): shallow drafts, then one stacked verify.
 //   - IncrementalDecoder: the single-sequence convenience wrapper.
-//   - batched_decode_step(): advances many sequences one token in a single
-//     call, stacking their rows through each layer's projections so the
-//     weight materialisation (effective_weight) and per-call tensor
-//     allocations are paid once per layer instead of once per sequence —
-//     the serving engine's (src/serve) continuous-batching tick.
 #pragma once
 
 #include <span>
@@ -99,21 +102,24 @@ struct BatchedSeq {
   /// contiguous (KvCache) and paged (serve::PagedKvPool) storage decode
   /// bitwise identically.
   KvSequenceView* cache = nullptr;
-  int64_t position = 0;      ///< tokens already cached
-  int64_t token = 0;         ///< token to feed this tick
+  int64_t position = 0;  ///< tokens already cached
+  /// Tokens to feed this tick (>= 1), at positions position, position+1, ...
+  /// More than one row is prompt prefill. Must outlive the call.
+  std::span<const int64_t> tokens;
   int64_t exit_layer = 0;    ///< 0 means the final exit
   bool all_exits = false;    ///< collect logits at every registered exit (voting)
   bool want_logits = true;   ///< false skips the exit head (prompt prefill)
-  /// Output: [vocab] logits per requested exit — one entry, or one per
-  /// registered exit in exit_layers() order when all_exits is set; empty
-  /// when want_logits is false.
+  /// Output: [vocab] logits of the LAST fed row per requested exit — one
+  /// entry, or one per registered exit in exit_layers() order when
+  /// all_exits is set; empty when want_logits is false.
   std::vector<Tensor> logits;
 };
 
-/// Advances every sequence by one token in one call. Rows are stacked
+/// Advances every sequence by its tokens in one call. Rows are stacked
 /// through each layer's norm/projection/MLP so per-layer overheads amortise
-/// across the batch; attention runs per sequence against its own cache.
-/// Results are bitwise identical to single-sequence decoding.
+/// across the batch; attention runs per sequence against its own cache, each
+/// sequence's rows appending then attending in position order. Results are
+/// bitwise identical to feeding every token alone.
 ///
 /// `weights`, when non-null, supplies pre-materialised effective weights
 /// (see DecodeWeightCache) so projections skip the per-call weight rebuild;
@@ -130,11 +136,6 @@ void batched_decode_step(CausalLm& model, std::span<BatchedSeq> seqs,
 /// `weights` as for batched_decode_step.
 Tensor decode_step(CausalLm& model, KvCache& cache, int64_t position, int64_t token,
                    int64_t exit_layer, const DecodeWeightCache* weights = nullptr);
-
-/// Like decode_step but returns logits at every registered exit (the
-/// serving engine's voted-exit decode path).
-std::vector<Tensor> decode_step_all_exits(CausalLm& model, KvCache& cache, int64_t position,
-                                          int64_t token);
 
 /// Result of one self-speculative draft-and-verify round.
 struct SpeculativeResult {
@@ -158,10 +159,10 @@ struct SpeculativeResult {
 /// rejected rows are wasted work.
 ///
 /// Greedy-determinism contract: the emitted stream is bitwise identical to
-/// non-speculative full-depth greedy decode. The stacked verify pass runs
-/// the same kernels row-independently and appends/attends per row in
-/// sequence order, so each verified row sees exactly the cache a sequential
-/// decode would; rejected rows are truncated before they are ever read.
+/// non-speculative full-depth greedy decode. Draft and verify run the same
+/// multi-row forward step as batched_decode_step, so each verified row sees
+/// exactly the cache a sequential decode would; rejected rows are truncated
+/// before they are ever read.
 ///
 /// On return the cache holds position + tokens.size() full-depth rows (the
 /// last emitted token is not yet fed — same contract as decode_step).
@@ -185,8 +186,9 @@ SpeculativeResult speculative_decode_step(CausalLm& model, KvSequenceView& cache
 /// small numeric perturbation; the edge-standard KV compression.
 ///
 /// prime() snapshots the model's effective weights into a DecodeWeightCache
-/// once, and every prompt token and step() decodes against that snapshot
-/// (bitwise identical to the uncached decode_step). Contract: re-prime
+/// once, feeds the whole prompt in one stacked call, and every step()
+/// decodes against that snapshot (bitwise identical to the uncached,
+/// token-at-a-time decode_step). Contract: re-prime
 /// after any weight update or compression change — step() keeps decoding
 /// against the weights as they were at the last prime().
 class IncrementalDecoder {

@@ -107,6 +107,7 @@ class CausalLm final : public Module {
   void clear_cache() override;
 
   std::vector<TransformerBlock*> blocks();
+  TransformerBlock& block(int64_t i) { return *blocks_.at(static_cast<size_t>(i)); }
   Embedding& token_embedding() { return *tok_emb_; }
   Param& positional_embedding() { return pos_emb_; }
 

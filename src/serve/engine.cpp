@@ -389,6 +389,13 @@ void ServeEngine::set_exit_weights(std::vector<float> weights, std::vector<float
   exit_losses_ = std::move(calib_losses);
 }
 
+void ServeEngine::inject_worker_faults() const {
+  if (cfg_.fault == nullptr) return;
+  const double stall = cfg_.fault->stall_worker_ms();
+  if (stall > 0.0) std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(stall));
+  if (cfg_.fault->kill_worker()) throw runtime::WorkerDeathError();
+}
+
 void ServeEngine::run_decode(std::vector<nn::BatchedSeq>& seqs,
                              std::vector<uint8_t>& chunk_failed,
                              std::vector<std::string>& chunk_errors) {
@@ -401,13 +408,7 @@ void ServeEngine::run_decode(std::vector<nn::BatchedSeq>& seqs,
   auto decode_chunk = [&](int64_t lo, int64_t hi) {
     if (lo >= hi) return;
     try {
-      if (cfg_.fault != nullptr) {
-        const double stall = cfg_.fault->stall_worker_ms();
-        if (stall > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(stall));
-        }
-        if (cfg_.fault->kill_worker()) throw runtime::WorkerDeathError();
-      }
+      inject_worker_faults();
       nn::batched_decode_step(
           model_, std::span<nn::BatchedSeq>(seqs.data() + lo, static_cast<size_t>(hi - lo)),
           &weight_cache_);
@@ -448,13 +449,7 @@ void ServeEngine::run_speculative(std::vector<SpecJob>& jobs) {
   auto run_one = [&](int64_t ji) {
     SpecJob& job = jobs[static_cast<size_t>(ji)];
     try {
-      if (cfg_.fault != nullptr) {
-        const double stall = cfg_.fault->stall_worker_ms();
-        if (stall > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(stall));
-        }
-        if (cfg_.fault->kill_worker()) throw runtime::WorkerDeathError();
-      }
+      inject_worker_faults();
       const obs::ScopedSpan span(job.span_name);
       job.result = nn::speculative_decode_step(model_, *job.cache, job.position, job.token,
                                                job.depth, job.k, &weight_cache_);
@@ -566,60 +561,13 @@ void ServeEngine::loop() {
     const auto tick_t0 = std::chrono::steady_clock::now();
     const obs::ScopedSpan tick_span("serve/tick");
 
-    // Chunked prefill: sequences still feeding their prompt advance up to
-    // prefill_chunk positions this tick via prompt-only micro-batches ahead
-    // of the regular step — never the last prompt token (it must produce
-    // logits in the main batch below), so sampling and bitwise outputs are
-    // unaffected; prefill just reaches the first sampled token in fewer
-    // ticks. Decoding sequences keep their one token per tick.
-    for (int64_t step = 1; step < cfg_.prefill_chunk && !failed_; ++step) {
-      std::vector<size_t> pre;
-      for (size_t i = 0; i < active.size(); ++i) {
-        if (active[i]->prompt_fed + 1 < active[i]->req.prompt.size()) pre.push_back(i);
-      }
-      if (pre.empty()) break;
-      seqs.assign(pre.size(), nn::BatchedSeq{});
-      chunk_failed.assign(pre.size(), 0);
-      chunk_errors.assign(pre.size(), std::string());
-      for (size_t p = 0; p < pre.size(); ++p) {
-        SeqState& s = *active[pre[p]];
-        nn::BatchedSeq& j = seqs[p];
-        j.cache = s.kv;
-        j.position = s.position;
-        j.token = s.next_token();
-        j.want_logits = false;
-        j.all_exits = false;
-        j.exit_layer = s.policy == ExitPolicy::kFixedEarly ? s.exit_layer : int64_t{0};
-      }
-      lk.unlock();
-      run_decode(seqs, chunk_failed, chunk_errors);
-      lk.lock();
-      if (failed_) break;
-      // Advance survivors; retire failures in descending active order so
-      // finish_seq's erase keeps the remaining indices valid.
-      for (size_t p = pre.size(); p-- > 0;) {
-        SeqState& s = *active[pre[p]];
-        if (chunk_failed[p] != 0) {
-          s.error = chunk_errors[p];
-          finish_seq(pre[p], RequestStatus::kFailed);
-          continue;
-        }
-        ++s.prompt_fed;
-        ++s.position;
-      }
-    }
-    if (failed_) {
-      sched_.clear_failed();
-      return;
-    }
-    if (active.empty()) continue;
-
     // Build this tick's per-sequence jobs from the *effective* policy (the
     // ladder may have degraded it at admission). Prompt-done speculative
     // sequences run a draft-and-verify round instead of a one-token step;
     // everything else — including speculative sequences still feeding their
     // prompt, whose last prompt token must sample in the main batch exactly
-    // like kFinal's — takes the regular step.
+    // like kFinal's — takes the regular step. A prefilling sequence feeds
+    // up to prefill_chunk prompt rows in that step (chunked prefill).
     const size_t B = active.size();
     std::vector<SpecJob> spec_jobs;
     std::vector<size_t> slot_of(B, 0);  ///< index into seqs or spec_jobs
@@ -632,7 +580,7 @@ void ServeEngine::loop() {
         job.index = i;
         job.cache = s.kv;
         job.position = s.position;
-        job.token = s.next_token();
+        job.token = s.last_token;
         job.depth = s.spec_depth;
         // Clamp the verify width to the tokens this request may still emit
         // and to the context window. Both bounds keep the round's transient
@@ -659,10 +607,10 @@ void ServeEngine::loop() {
       nn::BatchedSeq& j = seqs[p];
       j.cache = s.kv;
       j.position = s.position;
-      j.token = s.next_token();
+      j.tokens = s.next_tokens(cfg_.prefill_chunk);
       // Logits are only needed when this tick's output will be sampled
-      // from: the last prompt token, or any generated token.
-      j.want_logits = s.prompt_done() || s.prompt_fed + 1 == s.req.prompt.size();
+      // from: a chunk ending on the last prompt token, or any generated one.
+      j.want_logits = s.prompt_fed + j.tokens.size() >= s.req.prompt.size();
       j.all_exits = s.policy == ExitPolicy::kVoted;
       j.exit_layer = s.policy == ExitPolicy::kFixedEarly ? s.exit_layer : int64_t{0};
     }
@@ -737,11 +685,11 @@ void ServeEngine::loop() {
           finish_seq(i, RequestStatus::kFailed);
           continue;
         }
-        const bool fed_prompt = !s.prompt_done();
-        if (fed_prompt) ++s.prompt_fed;
-        ++s.position;
+        const size_t fed = seqs[p].tokens.size();
+        if (!s.prompt_done()) s.prompt_fed += fed;
+        s.position += static_cast<int64_t>(fed);
 
-        if (s.prompt_done() && seqs[p].want_logits) {
+        if (seqs[p].want_logits) {
           Tensor logits;
           if (s.policy == ExitPolicy::kVoted) {
             logits = core::combine_exit_logits(seqs[p].logits, exit_weights_, exit_losses_,

@@ -65,10 +65,9 @@ struct EngineConfig {
   bool kv_paged = false;
   int64_t kv_block_tokens = 16;  ///< paged only: positions per KV block
   /// Max prompt tokens a prefilling sequence advances per scheduler tick
-  /// (chunked prefill). 1 = classic one-token ticks; higher values reach
-  /// the first sampled token in fewer ticks by running prompt-only
-  /// micro-batches ahead of the regular step — never the last prompt
-  /// token, so sampling (and bitwise outputs) are unaffected.
+  /// (chunked prefill): its rows ride in the tick's one batched step.
+  /// 1 = classic one-token ticks; higher values reach the first sampled
+  /// token in fewer ticks. Outputs are bitwise identical at any value.
   int64_t prefill_chunk = 1;
   /// Hold packable compressed weights (per-row symmetric int4/int8, no
   /// LoRA) as PackedMatrix in the decode weight cache and multiply against
@@ -288,6 +287,10 @@ class ServeEngine {
   /// Resolves every queued and active promise kFailed (watchdog path);
   /// caller holds mu_. State stays in place for the wedged loop to reclaim.
   void fail_all_pending_locked(const char* why);
+  /// The worker-side fault hooks both decode paths share: an injected
+  /// stall, then an injected worker death (thrown as WorkerDeathError).
+  /// No-op without a fault injector.
+  void inject_worker_faults() const;
   void run_decode(std::vector<nn::BatchedSeq>& seqs, std::vector<uint8_t>& chunk_failed,
                   std::vector<std::string>& chunk_errors);
   /// One prompt-done kSpeculative sequence's draft-and-verify round for this

@@ -16,11 +16,13 @@
 // every method here under its own lock, between decode barriers.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,9 +76,13 @@ struct SeqState {
   bool has_first_token = false;
 
   bool prompt_done() const { return prompt_fed >= req.prompt.size(); }
-  /// The token this sequence feeds at the next tick.
-  int64_t next_token() const {
-    return prompt_done() ? last_token : req.prompt[prompt_fed];
+  /// The tokens this sequence feeds at the next tick: up to `chunk` prompt
+  /// tokens while prefilling, then the last sampled token. Views this
+  /// state, which the loop leaves untouched while a tick decodes.
+  std::span<const int64_t> next_tokens(int64_t chunk) const {
+    if (prompt_done()) return {&last_token, 1};
+    const size_t n = std::min(static_cast<size_t>(chunk), req.prompt.size() - prompt_fed);
+    return std::span<const int64_t>(req.prompt).subspan(prompt_fed, n);
   }
 };
 

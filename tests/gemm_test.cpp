@@ -658,7 +658,7 @@ TEST(PackedWeightCache, PackedBuildSwapsPackableLayersAndStaysClose) {
     nn::BatchedSeq a;
     a.cache = &plain;
     a.position = static_cast<int64_t>(t);
-    a.token = prompt[t];
+    a.tokens = std::span(&prompt[t], 1);
     a.all_exits = true;
     nn::BatchedSeq b = a;
     b.cache = &packed;

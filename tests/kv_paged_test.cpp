@@ -17,6 +17,7 @@
 namespace edgellm::serve {
 namespace {
 
+using edgellm::testing::engine_cfg;
 using edgellm::testing::feed_positions;
 using edgellm::testing::fill_row;
 using edgellm::testing::greedy_request;
@@ -24,7 +25,9 @@ using edgellm::testing::iota_tokens;
 using edgellm::testing::paged_cfg;
 using edgellm::testing::paged_engine_cfg;
 using edgellm::testing::reference_greedy;
+using edgellm::testing::reference_voted;
 using edgellm::testing::seq_tokens;
+using edgellm::testing::serve_batch;
 using edgellm::testing::tiny_config;
 
 // --- pool mechanics ---------------------------------------------------------
@@ -444,22 +447,79 @@ TEST(PagedEngine, QuantizedAndVotedMatchSlotPool) {
   }
 }
 
-// Chunked prefill feeds several prompt tokens per tick; outputs must not
-// change (the last prompt token still decodes in the main batch).
-TEST(PagedEngine, ChunkedPrefillKeepsOutputsIdentical) {
+// Chunked prefill: a prefilling sequence feeds up to prefill_chunk prompt
+// rows in the tick's one batched step, next to decoding sequences. Outputs
+// must equal the reference decoder's in every cell — chunk size x exit
+// policy x KV pool x worker threads — and the tick count must show the
+// chunking: ceil(prompt / chunk) prefill ticks, the last of which samples.
+struct PrefillCell {
+  int64_t chunk;
+  ExitPolicy policy;
+  bool paged;
+  int64_t threads;
+};
+
+// Names each cell in the ctest listing (e.g. chunk3_voted_paged_t2); the
+// default printer would dump the struct's bytes, padding included.
+void PrintTo(const PrefillCell& c, std::ostream* os) {
+  *os << "chunk" << c.chunk << "_" << to_string(c.policy) << (c.paged ? "_paged" : "_slot")
+      << "_t" << c.threads;
+}
+
+class ChunkedPrefillEngine : public ::testing::TestWithParam<PrefillCell> {};
+
+TEST_P(ChunkedPrefillEngine, KeepsOutputsIdentical) {
+  const PrefillCell cell = GetParam();
   const nn::ModelConfig cfg = tiny_config();
   Rng rng(42);
   nn::CausalLm model(cfg, rng);
-  const auto prompt = seq_tokens(8, cfg.vocab, 1);
-  const auto want = reference_greedy(model, prompt, 5);
+  const int64_t n_new = 5;
+  const int64_t fixed_exit = 1;
+  const std::vector<std::vector<int64_t>> prompts = {
+      seq_tokens(8, cfg.vocab, 1), seq_tokens(3, cfg.vocab, 6), seq_tokens(11, cfg.vocab, 9)};
 
-  EngineConfig ecfg = paged_engine_cfg(2);
-  ecfg.prefill_chunk = 4;
+  EngineConfig ecfg = cell.paged ? paged_engine_cfg(cell.threads) : engine_cfg(cell.threads);
+  ecfg.prefill_chunk = cell.chunk;
   ServeEngine engine(model, ecfg);
-  const Completion c = engine.submit(greedy_request(7, prompt, 5)).get();
-  EXPECT_EQ(c.status, RequestStatus::kOk);
-  EXPECT_EQ(c.tokens, want);
+  std::vector<Request> reqs;
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    reqs.push_back(greedy_request(static_cast<int64_t>(i), prompts[i], n_new, cell.policy,
+                                  cell.policy == ExitPolicy::kFixedEarly ? fixed_exit : 0));
+  }
+  const std::vector<Completion> got = serve_batch(engine, std::move(reqs));
+  int64_t want_ticks = 0;
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    const std::vector<int64_t> want =
+        cell.policy == ExitPolicy::kVoted ? reference_voted(model, prompts[i], n_new)
+        : cell.policy == ExitPolicy::kFixedEarly
+            ? reference_greedy(model, prompts[i], n_new, fixed_exit)
+            : reference_greedy(model, prompts[i], n_new);  // speculative == final
+    EXPECT_EQ(got[i].status, RequestStatus::kOk);
+    EXPECT_EQ(got[i].tokens, want) << "request " << i;
+    const int64_t p = static_cast<int64_t>(prompts[i].size());
+    want_ticks = std::max(want_ticks, (p + cell.chunk - 1) / cell.chunk + n_new - 1);
+  }
+  engine.shutdown();
+  // Speculative rounds emit a variable number of tokens per tick.
+  if (cell.policy != ExitPolicy::kSpeculative) EXPECT_EQ(engine.metrics().ticks, want_ticks);
+  EXPECT_EQ(engine.registry().counter("kv/acquired").value(),
+            engine.registry().counter("kv/released").value());
 }
+
+std::vector<PrefillCell> prefill_cells() {
+  std::vector<PrefillCell> cells;
+  for (const int64_t chunk : {1, 3, 16}) {  // 16 >= every prompt: one prefill tick
+    for (const ExitPolicy policy : {ExitPolicy::kFinal, ExitPolicy::kFixedEarly,
+                                    ExitPolicy::kVoted, ExitPolicy::kSpeculative}) {
+      for (const bool paged : {false, true}) {
+        for (const int64_t threads : {1, 2}) cells.push_back({chunk, policy, paged, threads});
+      }
+    }
+  }
+  return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCells, ChunkedPrefillEngine, ::testing::ValuesIn(prefill_cells()));
 
 // Cross-request reuse end to end: a repeated prompt hits the prefix cache,
 // skips its prefill, and still produces byte-identical greedy output.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <future>
 
 #include "core/voting.hpp"
@@ -141,7 +142,7 @@ TEST(BatchedDecode, IdenticalToSingleSequenceDecode) {
     for (size_t s = 0; s < 3; ++s) {
       seqs[s].cache = &caches[s];
       seqs[s].position = static_cast<int64_t>(t);
-      seqs[s].token = prompts[s][t];
+      seqs[s].tokens = std::span(&prompts[s][t], 1);
     }
     nn::batched_decode_step(model, seqs);
     for (size_t s = 0; s < 3; ++s) {
@@ -152,6 +153,86 @@ TEST(BatchedDecode, IdenticalToSingleSequenceDecode) {
       for (int64_t v = 0; v < got.numel(); ++v) {
         ASSERT_EQ(got[v], want[v]) << "seq " << s << " pos " << t << " vocab " << v;
       }
+    }
+  }
+
+  // One call mixing every row shape the engine sends: a 5-row prefill chunk
+  // on a paged int8 view, 1-row sequences at two early exits (one on an
+  // int8 cache), and an all-exits row, each resuming its own history. It
+  // must match feeding the same rows one call per token bit for bit — the
+  // logits and every cached K/V row.
+  struct Mixed {
+    std::vector<std::vector<Tensor>> logits;  // per sequence, per exit
+    std::vector<std::vector<float>> rows;     // per sequence, every cached K/V row
+  };
+  const std::vector<std::vector<int64_t>> feeds = {
+      seq_tokens(8, cfg.vocab, 5), seq_tokens(2, cfg.vocab, 9), seq_tokens(3, cfg.vocab, 11),
+      seq_tokens(5, cfg.vocab, 17)};
+  const std::vector<size_t> history = {3, 1, 2, 4};  // rows fed before the mixed call
+  const auto run_mixed = [&](bool stacked) {
+    PagedKvPool pool(edgellm::testing::paged_cfg(4, cfg.n_layers, cfg.kv_dim(), 0, nullptr,
+                                                 /*quantize=*/true));
+    PagedKvSeq* paged = pool.acquire(feeds[0], cfg.max_seq, cfg.n_layers).seq;
+    nn::KvCache q8(1, cfg.kv_dim(), /*quantize=*/true);
+    nn::KvCache fp2(2, cfg.kv_dim(), false);
+    nn::KvCache all(cfg.n_layers, cfg.kv_dim(), false);
+    std::vector<nn::BatchedSeq> seqs(4);
+    seqs[0].cache = paged;
+    seqs[1].cache = &q8;
+    seqs[1].exit_layer = 1;
+    seqs[2].cache = &fp2;
+    seqs[2].exit_layer = 2;
+    seqs[3].cache = &all;
+    seqs[3].all_exits = true;
+    // Feeds seqs[i] rows [from, to) of its tokens, one call per row.
+    const auto one_by_one = [&](size_t i, size_t from, size_t to) {
+      for (size_t t = from; t < to; ++t) {
+        seqs[i].position = static_cast<int64_t>(t);
+        seqs[i].tokens = std::span(&feeds[i][t], 1);
+        nn::batched_decode_step(model, std::span<nn::BatchedSeq>(&seqs[i], 1));
+      }
+    };
+    for (size_t i = 0; i < seqs.size(); ++i) one_by_one(i, 0, history[i]);
+    if (stacked) {
+      for (size_t i = 0; i < seqs.size(); ++i) {
+        seqs[i].position = static_cast<int64_t>(history[i]);
+        seqs[i].tokens = std::span(feeds[i]).subspan(history[i]);
+      }
+      nn::batched_decode_step(model, seqs);
+    } else {
+      for (size_t i = 0; i < seqs.size(); ++i) one_by_one(i, history[i], feeds[i].size());
+    }
+    Mixed out;
+    std::vector<float> k(static_cast<size_t>(cfg.kv_dim())), v(k.size());
+    for (nn::BatchedSeq& s : seqs) {
+      out.logits.push_back(std::move(s.logits));
+      std::vector<float> rows;
+      for (int64_t li = 0; li < s.cache->n_layers(); ++li) {
+        for (int64_t p = 0; p < s.cache->positions(li); ++p) {
+          s.cache->load_k(li, p, k.data());
+          s.cache->load_v(li, p, v.data());
+          rows.insert(rows.end(), k.begin(), k.end());
+          rows.insert(rows.end(), v.begin(), v.end());
+        }
+      }
+      out.rows.push_back(std::move(rows));
+    }
+    pool.release(paged, {}, /*reuse=*/false);
+    return out;
+  };
+  const Mixed stacked = run_mixed(true);
+  const Mixed single = run_mixed(false);
+  ASSERT_EQ(stacked.logits[3].size(), model.exit_layers().size());
+  for (size_t s = 0; s < feeds.size(); ++s) {
+    EXPECT_EQ(stacked.rows[s], single.rows[s]) << "seq " << s;
+    ASSERT_EQ(stacked.logits[s].size(), single.logits[s].size()) << "seq " << s;
+    for (size_t e = 0; e < stacked.logits[s].size(); ++e) {
+      const Tensor& got = stacked.logits[s][e];
+      const Tensor& want = single.logits[s][e];
+      ASSERT_EQ(got.numel(), cfg.vocab);
+      ASSERT_EQ(std::memcmp(got.raw(), want.raw(), sizeof(float) * static_cast<size_t>(cfg.vocab)),
+                0)
+          << "seq " << s << " exit " << e;
     }
   }
 }
@@ -184,7 +265,7 @@ TEST(BatchedDecode, WeightCacheIsBitwiseIdentical) {
     nn::BatchedSeq a;
     a.cache = &plain;
     a.position = static_cast<int64_t>(t);
-    a.token = prompt[t];
+    a.tokens = std::span(&prompt[t], 1);
     a.all_exits = true;
     nn::BatchedSeq b = a;
     b.cache = &cached;
@@ -219,7 +300,7 @@ TEST(BatchedDecode, MixedExitDepthsMatchForwardEval) {
     for (size_t s = 0; s < 3; ++s) {
       seqs[s].cache = &caches[s];
       seqs[s].position = static_cast<int64_t>(t);
-      seqs[s].token = toks[t];
+      seqs[s].tokens = std::span(&toks[t], 1);
     }
     seqs[1].exit_layer = 2;
     seqs[2].all_exits = true;
@@ -248,11 +329,15 @@ TEST(BatchedDecode, AllExitsMatchForwardAllExits) {
   const auto toks = seq_tokens(4, cfg.vocab);
   const int64_t T = static_cast<int64_t>(toks.size());
 
+  // The whole sequence in one stacked call; logits come from its last row.
   nn::KvCache cache(cfg.n_layers, cfg.kv_dim(), false);
-  std::vector<Tensor> last;
-  for (int64_t t = 0; t < T; ++t) {
-    last = nn::decode_step_all_exits(model, cache, t, toks[static_cast<size_t>(t)]);
-  }
+  nn::BatchedSeq s;
+  s.cache = &cache;
+  s.tokens = toks;
+  s.all_exits = true;
+  nn::batched_decode_step(model, std::span<nn::BatchedSeq>(&s, 1));
+  const std::vector<Tensor>& last = s.logits;
+  EXPECT_EQ(cache.positions(0), T);
   const std::vector<Tensor> ref = model.forward_all_exits(toks, 1, T);
   ASSERT_EQ(last.size(), ref.size());
   for (size_t e = 0; e < ref.size(); ++e) {
@@ -269,8 +354,10 @@ TEST(BatchedDecode, RequiresEvalModeAndValidState) {
   model.set_eval();
   nn::KvCache cache(cfg.n_layers, cfg.kv_dim(), false);
 
+  const int64_t one = 1;
+  const int64_t bad = cfg.vocab;  // out of range
   std::vector<nn::BatchedSeq> seqs(1);
-  seqs[0].token = 1;
+  seqs[0].tokens = std::span(&one, 1);
   EXPECT_THROW(nn::batched_decode_step(model, seqs), std::invalid_argument);  // null cache
 
   seqs[0].cache = &cache;
@@ -278,11 +365,25 @@ TEST(BatchedDecode, RequiresEvalModeAndValidState) {
   EXPECT_THROW(nn::batched_decode_step(model, seqs), std::invalid_argument);
 
   seqs[0].position = 0;
-  seqs[0].token = cfg.vocab;  // out of range
+  seqs[0].tokens = std::span(&bad, 1);
   EXPECT_THROW(nn::batched_decode_step(model, seqs), std::invalid_argument);
 
+  seqs[0].tokens = {};  // no rows to feed
+  EXPECT_THROW(nn::batched_decode_step(model, seqs), std::invalid_argument);
+
+  // position + rows may reach max_seq but not pass it; a rejected call
+  // leaves the cache untouched.
+  const std::vector<int64_t> window = seq_tokens(cfg.max_seq + 1, cfg.vocab);
+  seqs[0].tokens = window;
+  EXPECT_THROW(nn::batched_decode_step(model, seqs), std::invalid_argument);
+  EXPECT_EQ(cache.positions(0), 0);
+  seqs[0].tokens = std::span(window).first(static_cast<size_t>(cfg.max_seq));
+  EXPECT_NO_THROW(nn::batched_decode_step(model, seqs));
+  EXPECT_EQ(cache.positions(0), cfg.max_seq);
+
   nn::KvCache shallow(1, cfg.kv_dim(), false);  // too shallow for the final exit
-  seqs[0].token = 1;
+  seqs[0].position = 0;
+  seqs[0].tokens = std::span(&one, 1);
   seqs[0].cache = &shallow;
   EXPECT_THROW(nn::batched_decode_step(model, seqs), std::invalid_argument);
 }
@@ -365,31 +466,8 @@ TEST(ServeEngine, MixedExitPoliciesInOneBatch) {
   EXPECT_EQ(f_final.get().tokens, want_final);
   EXPECT_EQ(f_early.get().tokens, want_early);
 
-  // Voted reference: decode with all exits, combine with the engine's
-  // defaults (uniform weights, zero losses), greedy-pick.
-  model.set_eval();
-  const size_t n_exits = model.exit_layers().size();
-  const std::vector<float> w(n_exits, 1.0f / static_cast<float>(n_exits));
-  const std::vector<float> losses(n_exits, 0.0f);
-  nn::KvCache cache(cfg.n_layers, cfg.kv_dim(), false);
-  std::vector<int64_t> want_voted;
-  int64_t pos = 0;
-  std::vector<Tensor> exits;
-  for (size_t t = 0; t < prompt.size(); ++t) {
-    exits = nn::decode_step_all_exits(model, cache, pos++, prompt[t]);
-  }
-  core::VoterConfig vcfg;  // engine default
-  for (int64_t i = 0; i < 5; ++i) {
-    const Tensor voted =
-        core::combine_exit_logits(exits, w, losses, vcfg).reshape({cfg.vocab});
-    nn::GenerateConfig g;
-    g.temperature = 0.0f;
-    Rng r(0);
-    const int64_t tok = nn::sample_token(voted, g, r);
-    want_voted.push_back(tok);
-    if (i + 1 < 5) exits = nn::decode_step_all_exits(model, cache, pos++, tok);
-  }
-  EXPECT_EQ(f_voted.get().tokens, want_voted);
+  // Voted reference: all exits combined with the engine's defaults.
+  EXPECT_EQ(f_voted.get().tokens, edgellm::testing::reference_voted(model, prompt, 5));
 }
 
 TEST(ServeEngine, KvBudgetSerialisesAdmissionWithoutStarvation) {

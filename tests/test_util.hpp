@@ -377,6 +377,38 @@ inline std::vector<int64_t> reference_greedy(nn::CausalLm& model,
   return dec.generate(prompt, g, rng);
 }
 
+/// Greedy continuation under kVoted with the engine's defaults (uniform
+/// exit weights, zero calibration losses, default VoterConfig): every
+/// exit's logits combined per token, then greedy-picked. The prompt is fed
+/// in one stacked call.
+inline std::vector<int64_t> reference_voted(nn::CausalLm& model,
+                                            const std::vector<int64_t>& prompt, int64_t n_new) {
+  model.set_eval();
+  const nn::ModelConfig& cfg = model.config();
+  const size_t n_exits = model.exit_layers().size();
+  const std::vector<float> w(n_exits, 1.0f / static_cast<float>(n_exits));
+  const std::vector<float> losses(n_exits, 0.0f);
+  nn::KvCache cache(cfg.n_layers, cfg.kv_dim(), false);
+  nn::BatchedSeq s;
+  s.cache = &cache;
+  s.tokens = prompt;
+  s.all_exits = true;
+  std::vector<int64_t> out;
+  out.reserve(static_cast<size_t>(n_new));  // s.tokens views the last entry
+  nn::GenerateConfig g;
+  g.temperature = 0.0f;
+  Rng r(0);
+  for (int64_t i = 0; i < n_new; ++i) {
+    nn::batched_decode_step(model, std::span<nn::BatchedSeq>(&s, 1));
+    s.position += static_cast<int64_t>(s.tokens.size());
+    const Tensor voted =
+        core::combine_exit_logits(s.logits, w, losses, core::VoterConfig{}).reshape({cfg.vocab});
+    out.push_back(nn::sample_token(voted, g, r));
+    s.tokens = std::span(&out.back(), 1);
+  }
+  return out;
+}
+
 /// Stages every request while the engine is parked (so all of them join one
 /// deterministic batch on resume), then waits for and returns the
 /// completions in request order.
