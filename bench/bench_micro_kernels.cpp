@@ -318,14 +318,16 @@ void run_obs_sweep(const std::string& path) {
 // --- blocked GEMM sweep (BENCH_gemm.json) ------------------------------------
 
 /// Naive vs blocked dense kernels on square and decode-skinny shapes and on
-/// the adaptation step's TN and per-head batched shapes, plus the packed
+/// the adaptation step's TN and per-head batched shapes, the pre-packed NT
+/// kernel on the decode shapes (vs naive and per-call blocked), plus the packed
 /// integer kernel vs the dequantize-to-fp32-then-matmul path it replaces,
 /// plus a thread sweep of the blocked kernel on the largest dense shape.
 /// Every pairing is bitwise identical by construction (tensor/gemm.hpp,
 /// asserted by ctest -L gemm) — this measures only the speed side.
 /// Returns false (after writing the JSON) when the blocked kernel loses to
 /// the naive one on the largest dense NT shape or on any adaptation TN
-/// shape, the CI perf-smoke gate.
+/// shape, or the pre-packed kernel loses to naive on a decode shape — the
+/// CI perf-smoke gate.
 bool run_gemm_sweep(const std::string& path) {
   Rng rng(9);
   std::ofstream js(path);
@@ -376,6 +378,36 @@ bool run_gemm_sweep(const std::string& path) {
     });
     emit("nt", 32, s.m, s.k, s.n, 1, nt_naive, nt_blocked, "naive");
     if (s.m == 256) largest_dense_speedup = nt_naive / nt_blocked;
+  }
+
+  // Decode shapes against weights packed once (the decode weight cache's
+  // kernel, gemm::matmul_nt_prepacked): m = batch rows against q/k/v/o
+  // (64x64), fc1 (64 -> 256), fc2 (256 -> 64) and the exit head (64 -> 32),
+  // each vs the naive loop and vs the blocked kernel packing B per call.
+  double prepacked_speedup_min = 1e300;
+  for (int64_t m : {1, 2, 4, 8}) {
+    for (const Mkn& s : {Mkn{m, 64, 64}, Mkn{m, 64, 256}, Mkn{m, 256, 64}, Mkn{m, 64, 32}}) {
+      const Tensor a = randn({s.m, s.k}, rng);
+      const Tensor bt = randn({s.n, s.k}, rng);
+      const ops::gemm::NtPanels panels(bt);
+      const auto blk = ops::gemm::blocking_for(ops::gemm::GemmKind::kNT, s.m, s.k, s.n);
+      const double naive = min_time_ms(7, 200, [&] {
+        benchmark::DoNotOptimize(ops::gemm::matmul_nt_naive(a, bt));
+      });
+      const double blocked = min_time_ms(7, 200, [&] {
+        benchmark::DoNotOptimize(ops::gemm::matmul_nt_blocked(a, bt, blk));
+      });
+      const double prepacked = min_time_ms(7, 200, [&] {
+        benchmark::DoNotOptimize(ops::gemm::matmul_nt_prepacked(a, panels));
+      });
+      js << (first ? "" : ",\n") << "    {\"kind\": \"nt_prepacked\", \"bits\": 32, \"batch\": 1"
+         << ", \"m\": " << s.m << ", \"k\": " << s.k << ", \"n\": " << s.n
+         << ", \"threads\": 1, \"naive_ms\": " << naive << ", \"blocked_ms\": " << blocked
+         << ", \"prepacked_ms\": " << prepacked << ", \"speedup\": " << naive / prepacked
+         << ", \"speedup_vs_blocked\": " << blocked / prepacked << "}";
+      first = false;
+      prepacked_speedup_min = std::min(prepacked_speedup_min, naive / prepacked);
+    }
   }
 
   // The adaptation step's training shapes (batch 8 x seq 32 = 256 rows,
@@ -563,21 +595,24 @@ bool run_gemm_sweep(const std::string& path) {
 
   js << "\n  ],\n  \"largest_dense_nt_speedup\": " << largest_dense_speedup
      << ",\n  \"adapt_tn_min_speedup\": " << adapt_tn_speedup_min
+     << ",\n  \"nt_prepacked_min_speedup\": " << prepacked_speedup_min
      << ",\n  \"simd_isa\": \"" << simd::to_string(simd::detected_isa())
      << "\",\n  \"simd_nt256_speedup\": " << simd_gemm_speedup
      << ",\n  \"simd_dequant_dot_min_speedup\": " << simd_dequant_speedup_min << "\n}\n";
   std::cout << "gemm sweep: blocked NT speedup at 256^3 = " << largest_dense_speedup
             << "x vs naive; blocked TN min over the adapt shapes = " << adapt_tn_speedup_min
+            << "x; prepacked NT min over the decode shapes = " << prepacked_speedup_min
             << "x; simd (" << simd::to_string(simd::detected_isa())
             << ") vs scalar at 256^3 NT = " << simd_gemm_speedup
             << "x, fused dequant-dot min = " << simd_dequant_speedup_min << "x; wrote " << path
             << "\n";
   // Gate: blocked must beat naive (largest dense NT, every adapt TN shape),
-  // and on hosts with a vector backend the vectorized kernels must beat
-  // forced-scalar. The bars are deliberately below the typical 2-4x so
+  // prepacked must not lose to naive on any decode shape, and on hosts with
+  // a vector backend the vectorized kernels must beat forced-scalar. The bars are deliberately below the typical 2-4x so
   // scheduler noise on shared CI runners can't flake the job; the committed
   // BENCH_gemm.json records the real margins.
-  bool ok = largest_dense_speedup >= 1.0 && adapt_tn_speedup_min >= 1.0;
+  bool ok = largest_dense_speedup >= 1.0 && adapt_tn_speedup_min >= 1.0 &&
+            prepacked_speedup_min >= 1.0;
   if (have_vector) {
     ok = ok && simd_gemm_speedup >= 1.3 && simd_dequant_speedup_min >= 1.0;
   }
@@ -613,8 +648,8 @@ int main(int argc, char** argv) {
     const bool ok = run_gemm_sweep("BENCH_gemm.json");
     if (check_gemm && !ok) {
       std::cerr << "gemm sweep: blocked kernel lost to naive on the largest dense shape or "
-                   "an adapt TN shape, or the vectorized kernels lost to forced-scalar "
-                   "dispatch\n";
+                   "an adapt TN shape, the prepacked kernel lost to naive on a decode shape, "
+                   "or the vectorized kernels lost to forced-scalar dispatch\n";
       return 1;
     }
   }

@@ -371,7 +371,7 @@ ModelTuneSummary autotune_model_gemms(MeasuredBackend& backend, nn::CausalLm& mo
       int bits;
     };
     std::vector<Want> wants;
-    wants.push_back({GemmKind::kNT, 32});  // fp32 decode path (cached or fallback)
+    wants.push_back({GemmKind::kNT, 32});  // fp32 NT path (uncached layers, e.g. LoRA)
     if (lin->packable()) wants.push_back({GemmKind::kPackedNT, lin->quant_spec()->bits});
     for (const Want& w : wants) {
       const int64_t m = batch_rows, k = lin->in_features(), n = lin->out_features();

@@ -95,18 +95,19 @@ void attend_one(const ModelConfig& cfg, const KvSequenceView& cache, int64_t lay
   }
 }
 
-// Linear::forward against a cached effective weight: the same kernels in
-// the same order (matmul_nt then add_bias), so outputs are bitwise
+// Linear::forward against a cached weight: matmul_nt_prepacked (the same
+// per-output chains as matmul_nt) then add_bias, so fp32 outputs are bitwise
 // identical. Falls back to lin.forward when the cache has no entry for this
 // layer (no cache supplied, or a LoRA-enabled Linear). Decode activations
 // are always stacked rows [rows, in].
 Tensor cached_linear(Linear& lin, const Tensor& x, const DecodeWeightCache* wc) {
-  const quant::PackedMatrix* pw = wc != nullptr ? wc->find_packed(&lin) : nullptr;
-  const Tensor* w = wc != nullptr ? wc->find(&lin) : nullptr;
-  if (pw == nullptr && w == nullptr) return lin.forward(x);
+  const DecodeWeightCache::Entry* w = wc != nullptr ? wc->find(&lin) : nullptr;
+  if (w == nullptr) return lin.forward(x);
   check_arg(x.ndim() == 2 && x.dim(1) == lin.in_features(),
             "cached_linear: input must be [rows, in_features]");
-  Tensor y = pw != nullptr ? quant::packed_matmul_nt(x, *pw) : ops::matmul_nt(x, *w);
+  const auto* packed = std::get_if<quant::PackedMatrix>(w);
+  Tensor y = packed != nullptr ? quant::packed_matmul_nt(x, *packed)
+                               : ops::matmul_nt_prepacked(x, std::get<ops::gemm::NtPanels>(*w));
   if (lin.has_bias()) y = ops::add_bias(y, lin.bias().value);
   return y;
 }
@@ -223,38 +224,39 @@ void forward_rows(CausalLm& model, Tensor& x, std::span<const StepRow> rows, int
 }  // namespace
 
 void DecodeWeightCache::build(CausalLm& model, bool pack_compressed) {
-  weights_.clear();
-  packed_.clear();
-  const auto snapshot = [&](Linear* lin) {
+  entries_.clear();
+  const auto add = [&](Linear* lin) {
     if (lin->lora_enabled()) return;
-    if (weights_.count(lin) != 0 || packed_.count(lin) != 0) return;  // tied heads dedup
+    if (entries_.count(lin) != 0) return;  // tied heads dedup
     if (pack_compressed && lin->packable()) {
-      packed_.emplace(lin, lin->packed_weight());
+      entries_.emplace(lin, lin->packed_weight());
+    } else if (lin->prune_mask() || lin->quant_spec()) {
+      entries_.emplace(lin, ops::gemm::NtPanels(lin->effective_weight()));
     } else {
-      weights_.emplace(lin, lin->effective_weight());
+      // Uncompressed: pack straight from the weight (effective_weight()
+      // would copy it first).
+      entries_.emplace(lin, ops::gemm::NtPanels(lin->weight().value));
     }
   };
   for (TransformerBlock* b : model.blocks()) {
-    for (Linear* lin : b->linears()) snapshot(lin);
+    for (Linear* lin : b->linears()) add(lin);
   }
   const int64_t n_exits = static_cast<int64_t>(model.exit_layers().size());
-  for (int64_t e = 0; e < n_exits; ++e) snapshot(&model.exit_head(e));
+  for (int64_t e = 0; e < n_exits; ++e) add(&model.exit_head(e));
 }
 
-const Tensor* DecodeWeightCache::find(const Linear* lin) const {
-  const auto it = weights_.find(lin);
-  return it == weights_.end() ? nullptr : &it->second;
-}
-
-const quant::PackedMatrix* DecodeWeightCache::find_packed(const Linear* lin) const {
-  const auto it = packed_.find(lin);
-  return it == packed_.end() ? nullptr : &it->second;
+const DecodeWeightCache::Entry* DecodeWeightCache::find(const Linear* lin) const {
+  const auto it = entries_.find(lin);
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 int64_t DecodeWeightCache::bytes() const {
   int64_t total = 0;
-  for (const auto& [lin, w] : weights_) total += tensor_bytes(w);
-  for (const auto& [lin, p] : packed_) total += p.storage_bytes();
+  for (const auto& [lin, w] : entries_) {
+    const auto* packed = std::get_if<quant::PackedMatrix>(&w);
+    total += packed != nullptr ? packed->storage_bytes()
+                               : std::get<ops::gemm::NtPanels>(w).bytes();
+  }
   return total;
 }
 
@@ -460,8 +462,8 @@ void IncrementalDecoder::prime(const std::vector<int64_t>& prompt) {
   check_arg(!prompt.empty(), "IncrementalDecoder: empty prompt");
   reset();
   model_.set_eval();  // training may have re-enabled caching since the ctor
-  // One effective-weight rebuild (prune + fake-quant) per prime instead of
-  // one per layer per token.
+  // One effective-weight rebuild (prune + fake-quant) and panel pack per
+  // prime instead of one rebuild per layer per token.
   weights_.build(model_);
   BatchedSeq s;  // the whole prompt in one stacked call
   s.cache = &cache_;

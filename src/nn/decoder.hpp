@@ -18,63 +18,68 @@
 
 #include <span>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "nn/kv_cache.hpp"
 #include "nn/model.hpp"
+#include "tensor/gemm.hpp"
 
 namespace edgellm::nn {
 
-/// Materialised effective weights for decoding against a frozen (eval-mode)
-/// model. Linear::forward rebuilds its effective weight on every call — a
-/// full copy, plus prune/fake-quant work when compression is set. Across
-/// thousands of decode ticks over weights that never change, that rebuild
-/// is pure overhead. build() snapshots every block projection's and exit
-/// head's effective weight once; batched_decode_step then multiplies
-/// against the snapshot with the same kernels in the same order, so outputs
-/// stay bitwise identical to the uncached path.
+/// Kernel-ready weights for decoding against a frozen (eval-mode) model.
+/// Linear::forward rebuilds its effective weight on every call — a full
+/// copy, plus prune/fake-quant work when compression is set — and then
+/// ops::matmul_nt either packs it into panels again (fc1/fc2) or, at decode
+/// row counts, runs the scalar naive loop (q/k/v/o, exit heads). Across
+/// thousands of decode ticks over weights that never change, both are pure
+/// overhead. build() packs every block projection's and exit head's
+/// effective weight once into the micro-kernel's full-depth panel layout
+/// (ops::gemm::NtPanels); batched_decode_step then multiplies against the
+/// panels with ops::matmul_nt_prepacked, whose per-output ascending-k chain
+/// keeps outputs bitwise identical to the uncached path at every row count.
+/// The panels replace the weight: no fp32 Tensor snapshot is kept beside
+/// them.
 ///
-/// The snapshot is read-only and does NOT track the model: rebuild after
-/// any weight update or compression-policy change. LoRA-enabled Linears are
+/// The cache is read-only and does NOT track the model: rebuild after any
+/// weight update or compression-policy change. LoRA-enabled Linears are
 /// skipped (their rows fall back to Linear::forward).
 ///
 /// With `pack_compressed`, packable layers (per-row symmetric int4/int8,
-/// no LoRA — see Linear::packable) are held as PackedMatrix instead of a
-/// dequantized fp32 snapshot, and decode multiplies against the packed
-/// integers (quant::packed_matmul_nt). That is the deployed-kernel
-/// numerics — activations times raw integers, one scale per output — so it
-/// is close to, but NOT bitwise equal to, the fp32 effective-weight path;
-/// it is therefore opt-in. Default build() stays bitwise identical to the
-/// uncached path. Non-packable layers keep fp32 snapshots either way.
+/// no LoRA — see Linear::packable) are held as PackedMatrix instead of
+/// fp32 panels, and decode multiplies against the packed integers
+/// (quant::packed_matmul_nt). That is the deployed-kernel numerics —
+/// activations times raw integers, one scale per output — so it is close
+/// to, but NOT bitwise equal to, the fp32 effective-weight path; it is
+/// therefore opt-in. Default build() stays bitwise identical to the
+/// uncached path. Non-packable layers keep fp32 panels either way.
 class DecodeWeightCache {
  public:
+  /// One cached Linear's weight: fp32 panels or packed integers.
+  using Entry = std::variant<ops::gemm::NtPanels, quant::PackedMatrix>;
+
   DecodeWeightCache() = default;
   explicit DecodeWeightCache(CausalLm& model, bool pack_compressed = false) {
     build(model, pack_compressed);
   }
 
-  /// Snapshots the effective weight of every block projection and exit head
-  /// (tied heads are stored once). Clears any previous snapshot. With
+  /// Packs the effective weight of every block projection and exit head
+  /// (tied heads are stored once). Clears any previous entries. With
   /// `pack_compressed`, packable layers are stored packed (see class doc).
   void build(CausalLm& model, bool pack_compressed = false);
 
-  bool built() const { return !weights_.empty() || !packed_.empty(); }
+  bool built() const { return !entries_.empty(); }
 
-  /// The cached fp32 weight for `lin`, or nullptr when uncached (LoRA
-  /// layer, packed entry, or a Linear not part of build()'s model).
-  const Tensor* find(const Linear* lin) const;
+  /// The cached weight for `lin`, or nullptr when uncached (LoRA layer, or
+  /// a Linear not part of build()'s model).
+  const Entry* find(const Linear* lin) const;
 
-  /// The packed weight for `lin`, or nullptr (only non-null entries exist
-  /// after build(model, true)).
-  const quant::PackedMatrix* find_packed(const Linear* lin) const;
-
-  /// Bytes held by the snapshot (what the cache costs an edge deployment).
-  /// Packed entries count their packed payload, not dequantized fp32.
+  /// Bytes held by the cache (what it costs an edge deployment): panel
+  /// floats with their zero padding, packed payloads for packed entries.
   int64_t bytes() const;
 
  private:
-  std::unordered_map<const Linear*, Tensor> weights_;
-  std::unordered_map<const Linear*, quant::PackedMatrix> packed_;
+  std::unordered_map<const Linear*, Entry> entries_;
 };
 
 /// Sampling controls for generate().
@@ -121,8 +126,8 @@ struct BatchedSeq {
 /// sequence's rows appending then attending in position order. Results are
 /// bitwise identical to feeding every token alone.
 ///
-/// `weights`, when non-null, supplies pre-materialised effective weights
-/// (see DecodeWeightCache) so projections skip the per-call weight rebuild;
+/// `weights`, when non-null, supplies pre-packed effective weights (see
+/// DecodeWeightCache) so projections skip the per-call weight rebuild;
 /// the caller must have built it against this model in its current state.
 ///
 /// Requires model.set_eval() to have been called (asserted); the model is
@@ -185,9 +190,9 @@ SpeculativeResult speculative_decode_step(CausalLm& model, KvSequenceView& cache
 /// (symmetric, one scale per cached vector) — 4x less cache memory for a
 /// small numeric perturbation; the edge-standard KV compression.
 ///
-/// prime() snapshots the model's effective weights into a DecodeWeightCache
+/// prime() packs the model's effective weights into a DecodeWeightCache
 /// once, feeds the whole prompt in one stacked call, and every step()
-/// decodes against that snapshot (bitwise identical to the uncached,
+/// decodes against those panels (bitwise identical to the uncached,
 /// token-at-a-time decode_step). Contract: re-prime
 /// after any weight update or compression change — step() keeps decoding
 /// against the weights as they were at the last prime().
@@ -196,14 +201,14 @@ class IncrementalDecoder {
   explicit IncrementalDecoder(CausalLm& model, int64_t exit_layer = 0,
                               bool quantize_kv = false);
 
-  /// Resets the cache, snapshots the current weights, and runs the prompt
+  /// Resets the cache, packs the current weights, and runs the prompt
   /// through the model.
   void prime(const std::vector<int64_t>& prompt);
 
   /// Appends one token and updates the cache.
   void step(int64_t token);
 
-  /// Drops all cached state (KV and weight snapshot); the decoder is ready
+  /// Drops all cached state (KV and weight panels); the decoder is ready
   /// for a fresh prime().
   void reset();
 

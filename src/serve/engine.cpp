@@ -163,7 +163,8 @@ ServeEngine::ServeEngine(nn::CausalLm& model, EngineConfig cfg)
   exit_weights_.assign(n_exits, 1.0f / static_cast<float>(n_exits));
   exit_losses_.assign(n_exits, 0.0f);
   model_.set_eval();
-  // Frozen model: materialise weights once (packed storage when opted in).
+  // Frozen model: pack weights into kernel-ready panels once (integer
+  // storage when opted in).
   weight_cache_.build(model_, cfg_.pack_compressed_weights);
   if (cfg_.threads > 1) workers_ = std::make_unique<WorkerPool>(cfg_.threads);
   sched_thread_ = std::thread([this] { loop(); });

@@ -223,9 +223,10 @@ class ServeEngine {
  private:
   nn::CausalLm& model_;
   EngineConfig cfg_;
-  /// Effective weights snapshotted once at construction — the model is
-  /// frozen for the engine's lifetime, so every decode tick reuses them
-  /// instead of re-materialising per projection (read-only across workers).
+  /// Effective weights packed into kernel-ready panels once at
+  /// construction — the model is frozen for the engine's lifetime, so every
+  /// decode tick reuses them instead of re-materialising and re-packing per
+  /// projection (read-only across workers).
   nn::DecodeWeightCache weight_cache_;
 
   /// Declared before sched_: the scheduler's KV pool registers its

@@ -367,18 +367,19 @@ void set_metrics_registry(obs::Registry* r) {
 }
 
 bool use_blocked(GemmKind kind, int64_t m, int64_t k, int64_t n, int64_t batch) {
-  // Below ~32k MACs the 2-d pack + fan-out overhead eats the win. The
-  // packed kernel cuts over much earlier: its scalar reference pays a
-  // bounds-checked value_at per MAC, so bulk panel decode wins from tiny
-  // shapes up (single-token decode rows included). The naive TN loop reads
-  // A down its columns and the naive batched loops run one short dot
-  // product or row update per output row; measured at one thread, the
-  // blocked kernel beat them on every shape with a full kMr x kNr tile and
-  // 2k MACs per slice (below that, packing costs more than it saves).
+  // The packed kernel's scalar reference pays a bounds-checked value_at per
+  // MAC, so bulk panel decode wins from tiny shapes up (single-token decode
+  // rows included). The dense kinds were measured at one thread
+  // (docs/PERFORMANCE.md, "Cut-over"): from 2k MACs per slice the blocked
+  // kernel beat the naive loops on every shape of two or more rows for 2-d
+  // NN/NT, and of one full kMr strip or more for TN and batched (the naive
+  // TN loop reads A down its columns, the batched ones run one short dot
+  // product or row update per output row). A single row reads each B
+  // element once either way, so packing B for it rarely pays.
   if (n < kNr || m < 1 || k < 1) return false;
   if (kind == GemmKind::kPackedNT) return m * k * n >= 4096;
-  if (kind == GemmKind::kTN || batch > 1) return m >= kMr && m * k * n >= 2048;
-  return m * k * n >= 32768;
+  const int64_t min_rows = kind == GemmKind::kTN || batch > 1 ? kMr : 2;
+  return m >= min_rows && m * k * n >= 2048;
 }
 
 Tensor matmul_blocked(const Tensor& a, const Tensor& b, const Blocking& blk, bool fast_math) {
@@ -403,6 +404,50 @@ Tensor bmm_nt_blocked(const Tensor& a, const Tensor& b, const Blocking& blk, boo
 
 Tensor bmm_tn_blocked(const Tensor& a, const Tensor& b, const Blocking& blk, bool fast_math) {
   return gemm_blocked(GemmKind::kTN, a, b, blk, fast_math, true, "bmm_tn_blocked");
+}
+
+// --- pre-packed NT ----------------------------------------------------------
+//
+// One full-depth panel per kNr columns, so each tile call runs an output
+// element's whole ascending-k chain from C's +0.0f: the same chain as the
+// blocked driver at any kc, hence the same bits as the naive loop.
+
+NtPanels::NtPanels(const Tensor& b) {
+  check_arg(b.ndim() == 2, "NtPanels: weight must be 2-d [n, k]");
+  n_ = b.dim(0);
+  k_ = b.dim(1);
+  const size_t floats = static_cast<size_t>(((n_ + kNr - 1) / kNr) * kNr * k_);
+  if (floats == 0) return;
+  // kNr floats are 32 bytes, so kNr - 1 floats of slack reach the next
+  // 32-byte boundary from any float-aligned base.
+  storage_.resize(floats + kNr - 1);
+  const uintptr_t base = reinterpret_cast<uintptr_t>(storage_.data());
+  offset_ = ((32 - base % 32) % 32) / sizeof(float);
+  pack_panel_nt(b.raw(), k_, 0, k_, 0, n_, storage_.data() + offset_);
+}
+
+Tensor matmul_nt_prepacked(const Tensor& a, const NtPanels& b) {
+  const char* what = "matmul_nt_prepacked";
+  require(a.ndim() == 2, what, ": A must be 2-d");
+  require(a.dim(1) == b.k(), what, ": inner dimensions differ");
+  const int64_t m = a.dim(0), k = b.k(), n = b.n();
+  Tensor c({m, n});
+  const simd::KernelTable& kt = simd::kernels();
+  const TileFn tile = fast_math_enabled() ? kt.gemm_tile_fast : kt.gemm_tile;
+  const float* pa = a.raw();
+  const float* pb = b.data();
+  float* pc = c.raw();
+  const int64_t grain = std::max<int64_t>(1, default_blocking(m, k, n).mc / kMr);
+  parallel::parallel_for(0, (m + kMr - 1) / kMr, grain, [=](int64_t lo, int64_t hi) {
+    for (int64_t is = lo; is < hi; ++is) {
+      const int64_t i0 = is * kMr;
+      const int64_t mr = std::min(kMr, m - i0);
+      for (int64_t j = 0; j < n; j += kNr) {
+        tile(pa + i0 * k, k, pb + j * k, k, pc + i0 * n + j, n, mr, std::min(kNr, n - j));
+      }
+    }
+  });
+  return c;
 }
 
 // --- naive references -------------------------------------------------------

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -175,13 +176,54 @@ Tensor bmm_tn_naive(const Tensor& a, const Tensor& b);
 /// `batched` selects 3-d operands [batch, ...].
 Tensor dispatch(GemmKind kind, const Tensor& a, const Tensor& b, bool batched, const char* what);
 
+/// A static NT weight B[n,k] packed once into the micro-kernel's panel
+/// layout at full depth: strip js holds output columns [js*kNr, js*kNr +
+/// kNr) as k depth steps of kNr contiguous floats (the layout the blocked
+/// driver packs per call, with kc = k), columns past n zero-padded, the
+/// base 32-byte aligned. Read-only once built, so concurrent GEMMs may
+/// share one. Move-only: the aligned base is an offset into the storage.
+class NtPanels {
+ public:
+  NtPanels() = default;
+  /// Packs `b` [n, k].
+  explicit NtPanels(const Tensor& b);
+  NtPanels(NtPanels&&) = default;
+  NtPanels& operator=(NtPanels&&) = default;
+  NtPanels(const NtPanels&) = delete;
+  NtPanels& operator=(const NtPanels&) = delete;
+
+  int64_t n() const { return n_; }
+  int64_t k() const { return k_; }
+  const float* data() const { return storage_.data() + offset_; }
+  /// Bytes held, zero padding and alignment slack included.
+  int64_t bytes() const { return static_cast<int64_t>(storage_.size() * sizeof(float)); }
+
+ private:
+  int64_t n_ = 0;
+  int64_t k_ = 0;
+  // Plain heap storage over-allocated by kNr - 1 floats, read from its
+  // first 32-byte aligned float. A decode cache is rebuilt per prompt
+  // (IncrementalDecoder::prime), and aligned operator new fragmented that
+  // process's heap: +0.3 MB peak RSS in the adapt benchmark.
+  std::vector<float> storage_;
+  size_t offset_ = 0;
+};
+
+/// C[m,n] = A[m,k] * B^T against pre-packed panels: the dispatched
+/// deterministic tile (or its fast_math variant when the global flag is
+/// on) over kMr row strips at every m >= 1, fanned out over row strips with
+/// the blocked driver's default grain. No cut-over, no packing, no schedule
+/// lookup. Bitwise equal to matmul_nt_naive(a, b) unless fast_math is on;
+/// throws std::invalid_argument unless A is 2-d with k columns.
+Tensor matmul_nt_prepacked(const Tensor& a, const NtPanels& b);
+
 /// Dispatch policy: true when the blocked kernel is worth its packing and
 /// fan-out overhead for this shape (per-batch shape when `batch` > 1).
 /// Every blocked kernel needs one full kNr lane (n >= kNr). Beyond that,
-/// 2-d NN/NT calls cut over at 32k MACs and packed NT at 4k; TN calls and
-/// batched calls (batch > 1) cut over at m >= kMr and 2k MACs per slice,
-/// where the blocked kernel beat the naive loops at one thread on every
-/// measured shape.
+/// packed NT cuts over at 4k MACs and the dense kinds at 2k MACs per slice
+/// with at least 2 rows (2-d NN/NT) or kMr rows (TN, batched), where the
+/// blocked kernel beat the naive loops at one thread on every measured
+/// shape. Single-row dense calls always run the naive loop.
 bool use_blocked(GemmKind kind, int64_t m, int64_t k, int64_t n, int64_t batch = 1);
 
 namespace detail {

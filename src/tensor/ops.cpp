@@ -60,6 +60,11 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   return gemm::dispatch(gemm::GemmKind::kNT, a, b, false, "matmul_nt");
 }
 
+Tensor matmul_nt_prepacked(const Tensor& a, const gemm::NtPanels& b) {
+  const obs::KernelSpan span("kernel/matmul");
+  return gemm::matmul_nt_prepacked(a, b);
+}
+
 Tensor bmm(const Tensor& a, const Tensor& b) {
   const obs::KernelSpan span("kernel/bmm");
   return gemm::dispatch(gemm::GemmKind::kNN, a, b, true, "bmm");

@@ -19,6 +19,10 @@
 
 namespace edgellm::ops {
 
+namespace gemm {
+class NtPanels;
+}
+
 // ---------------------------------------------------------------------------
 // Matrix products
 // ---------------------------------------------------------------------------
@@ -31,6 +35,11 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 /// C[m,n] = A[m,k] * B^T[n,k]  (b is stored [n,k]).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
+
+/// matmul_nt against a weight pre-packed once into kernel-ready panels
+/// (gemm::NtPanels, the decode weight cache's layout): no cut-over and no
+/// per-call packing, the same bits as matmul_nt at every m.
+Tensor matmul_nt_prepacked(const Tensor& a, const gemm::NtPanels& b);
 
 /// Batched matmul: C[b,m,n] = A[b,m,k] * B[b,k,n].
 Tensor bmm(const Tensor& a, const Tensor& b);

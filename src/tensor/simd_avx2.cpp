@@ -110,6 +110,39 @@ inline __m256 gelu_grad_ps(__m256 x, __m256 g) {
 // GEMM micro-kernel
 // ---------------------------------------------------------------------------
 
+// Edge tiles (a partial row strip or the nr < kNr column tail) at a
+// compile-time row count, so the MR row accumulators stay in registers:
+// decode runs 1-3 row strips on every call. Full-width tiles use unmasked
+// C I/O; the column tail uses masked C I/O, and since padded panel lanes
+// are zero, inactive accumulator lanes stay zero and the maskstore never
+// touches them.
+template <int64_t MR>
+inline void gemm_tile_edge_avx2(const float* a, int64_t lda, const float* bp, int64_t pc,
+                                float* c, int64_t ldc, int64_t nr) {
+  const bool full = nr == kNr;
+  const __m256i m = tail_mask(nr);
+  __m256 acc[MR];
+#pragma GCC unroll 4
+  for (int64_t r = 0; r < MR; ++r) {
+    acc[r] = full ? _mm256_loadu_ps(c + r * ldc) : _mm256_maskload_ps(c + r * ldc, m);
+  }
+  for (int64_t p = 0; p < pc; ++p) {
+    const __m256 b = _mm256_load_ps(bp + p * kNr);
+#pragma GCC unroll 4
+    for (int64_t r = 0; r < MR; ++r) {
+      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_broadcast_ss(a + r * lda + p), b));
+    }
+  }
+#pragma GCC unroll 4
+  for (int64_t r = 0; r < MR; ++r) {
+    if (full) {
+      _mm256_storeu_ps(c + r * ldc, acc[r]);
+    } else {
+      _mm256_maskstore_ps(c + r * ldc, m, acc[r]);
+    }
+  }
+}
+
 void gemm_tile_avx2(const float* a, int64_t lda, const float* bp, int64_t pc, float* c,
                     int64_t ldc, int64_t mr, int64_t nr) {
   if (mr == kMr && nr == kNr) {
@@ -132,18 +165,12 @@ void gemm_tile_avx2(const float* a, int64_t lda, const float* bp, int64_t pc, fl
     _mm256_storeu_ps(c + 3 * ldc, acc3);
     return;
   }
-  // Edge tiles: masked C I/O; padded panel lanes are zero, so inactive
-  // accumulator lanes stay zero and the maskstore never touches them.
-  const __m256i m = tail_mask(nr);
-  __m256 acc[kMr];
-  for (int64_t r = 0; r < mr; ++r) acc[r] = _mm256_maskload_ps(c + r * ldc, m);
-  for (int64_t p = 0; p < pc; ++p) {
-    const __m256 b = _mm256_load_ps(bp + p * kNr);
-    for (int64_t r = 0; r < mr; ++r) {
-      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_broadcast_ss(a + r * lda + p), b));
-    }
+  switch (mr) {
+    case 4: return gemm_tile_edge_avx2<4>(a, lda, bp, pc, c, ldc, nr);
+    case 3: return gemm_tile_edge_avx2<3>(a, lda, bp, pc, c, ldc, nr);
+    case 2: return gemm_tile_edge_avx2<2>(a, lda, bp, pc, c, ldc, nr);
+    default: return gemm_tile_edge_avx2<1>(a, lda, bp, pc, c, ldc, nr);
   }
-  for (int64_t r = 0; r < mr; ++r) _mm256_maskstore_ps(c + r * ldc, m, acc[r]);
 }
 
 // fast_math variant: FMA plus a second accumulator chain over the k lane

@@ -2,8 +2,8 @@
 // equivalence of blocked vs naive kernels (NN/NT/TN, 2-d and batched) on
 // tile-boundary edge shapes at 1, 2 and 8 threads,
 // thread-count determinism of the dispatched ops, NaN/Inf propagation,
-// bit-exactness of the blocked packed integer kernel against the scalar
-// reference, the per-shape schedule registry, the persistent ScheduleCache,
+// bit-exactness of the pre-packed NT kernel and of the blocked packed
+// integer kernel against their references, the per-shape schedule registry, the persistent ScheduleCache,
 // and the MeasuredBackend autotuner. Run alone with `ctest -L gemm`.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "hw/measured.hpp"
@@ -172,8 +174,8 @@ TEST(GemmDispatch, OpsAreBitwiseDeterministicAcrossThreadCounts) {
 }
 
 // The adaptation step's TN and per-head batched shapes: the weight
-// gradient dW = g^T x and attention at 32 heads of 32x32x16. Below the 2-d
-// cut-over per head, yet the batched and TN rules send them blocked.
+// gradient dW = g^T x and attention at 32 heads of 32x32x16, blocked
+// whether run 2-d or batched.
 TEST(GemmDispatch, TnAndPerHeadBatchedOpsTakeBlockedPathDeterministically) {
   Rng rng(22);
   const Tensor g = rand_tensor({256, 64}, rng);  // [rows, out]
@@ -182,7 +184,7 @@ TEST(GemmDispatch, TnAndPerHeadBatchedOpsTakeBlockedPathDeterministically) {
   const Tensor kh = rand_tensor({32, 32, 16}, rng);
   const Tensor probs = rand_tensor({32, 32, 32}, rng);
   ASSERT_TRUE(gemm::use_blocked(gemm::GemmKind::kTN, 64, 256, 96));
-  ASSERT_FALSE(gemm::use_blocked(gemm::GemmKind::kNN, 32, 32, 16));
+  ASSERT_TRUE(gemm::use_blocked(gemm::GemmKind::kNN, 32, 32, 16));
   ASSERT_TRUE(gemm::use_blocked(gemm::GemmKind::kNN, 32, 32, 16, /*batch=*/32));
 
   obs::Registry reg;
@@ -230,6 +232,64 @@ TEST(GemmBlocked, NanAndInfPropagateThroughBlockedKernels) {
     EXPECT_FALSE(std::isfinite(c.at(i, 7))) << "col 7 row " << i;
   }
   EXPECT_TRUE(std::isfinite(c.at(0, 0)));
+}
+
+// --- Pre-packed NT panels (the decode weight cache's kernel) -----------------
+
+// Every decode row count from one row to two full kMr strips plus a partial
+// one, depths of one element up to the MLP width, and widths around one kNr
+// lane up to the MLP width: the same bits as the naive loop at 1, 2 and 8
+// threads. The panels hold full kNr lanes from a 32-byte aligned base.
+TEST(GemmPrepacked, MatchesNaiveBitwiseAcrossDecodeShapesAndThreads) {
+  Rng rng(61);
+  for (int64_t k : {1, 7, 64, 256}) {
+    for (int64_t n : {1, 7, 8, 9, 32, 64, 256}) {
+      const Tensor bt = rand_tensor({n, k}, rng);
+      const gemm::NtPanels panels(bt);
+      EXPECT_EQ(panels.n(), n);
+      EXPECT_EQ(panels.k(), k);
+      // Full kNr lanes plus kNr - 1 floats of alignment slack.
+      EXPECT_EQ(panels.bytes(), static_cast<int64_t>(sizeof(float)) *
+                                    (((n + gemm::kNr - 1) / gemm::kNr) * gemm::kNr * k +
+                                     gemm::kNr - 1));
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(panels.data()) % 32, 0u);
+      for (int64_t m = 1; m <= 9; ++m) {
+        const Tensor a = rand_tensor({m, k}, rng);
+        const Tensor want = gemm::matmul_nt_naive(a, bt);
+        for (int64_t threads : {1, 2, 8}) {
+          parallel::NumThreadsScope scope(threads);
+          const std::string what = "prepacked m=" + std::to_string(m) + " k=" +
+                                   std::to_string(k) + " n=" + std::to_string(n) + " @" +
+                                   std::to_string(threads);
+          expect_bitwise_equal(ops::matmul_nt_prepacked(a, panels), want, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmPrepacked, NanAndInfPropagate) {
+  Rng rng(62);
+  const int64_t m = 6, k = 20, n = 13;  // a full and a partial strip, a padded lane
+  Tensor a = rand_tensor({m, k}, rng);
+  Tensor bt = rand_tensor({n, k}, rng);
+  a.at(5, 2) = std::numeric_limits<float>::quiet_NaN();  // poisons row 5
+  bt.at(9, 4) = std::numeric_limits<float>::infinity();  // saturates col 9
+  const Tensor c = ops::matmul_nt_prepacked(a, gemm::NtPanels(bt));
+  expect_bitwise_equal(c, gemm::matmul_nt_naive(a, bt), "NaN/Inf prepacked vs naive");
+  for (int64_t j = 0; j < n; ++j) EXPECT_TRUE(std::isnan(c.at(5, j))) << "row 5 col " << j;
+  for (int64_t i = 0; i < 5; ++i) EXPECT_FALSE(std::isfinite(c.at(i, 9))) << "col 9 row " << i;
+  EXPECT_TRUE(std::isfinite(c.at(0, 0)));
+}
+
+TEST(GemmPrepacked, RejectsMismatchedOperands) {
+  Rng rng(63);
+  const gemm::NtPanels panels(rand_tensor({8, 6}, rng));
+  EXPECT_THROW(ops::matmul_nt_prepacked(rand_tensor({3, 5}, rng), panels),
+               std::invalid_argument);
+  EXPECT_THROW(ops::matmul_nt_prepacked(rand_tensor({2, 3, 6}, rng), panels),
+               std::invalid_argument);
+  EXPECT_THROW(gemm::NtPanels(rand_tensor({2, 3, 6}, rng)), std::invalid_argument);
 }
 
 // TN reads A through its strip gather and the batched kernels index
@@ -398,13 +458,21 @@ TEST(GemmRegistry, UseBlockedPolicy) {
   EXPECT_FALSE(gemm::use_blocked(GemmKind::kNT, 1024, 1024, 4));    // n < kNr
   EXPECT_TRUE(gemm::use_blocked(GemmKind::kNN, 32, 32, 40));
   EXPECT_TRUE(gemm::use_blocked(GemmKind::kNT, 32, 32, 40));
-  // TN and batched calls go blocked from one full kMr x kNr tile and 2k
-  // MACs per slice.
+  // Every dense kind goes blocked from 2k MACs per slice: TN and batched
+  // calls from one full kMr x kNr tile, 2-d NN/NT from two rows (the
+  // decode projections included); a single row never does.
   EXPECT_TRUE(gemm::use_blocked(GemmKind::kTN, 4, 64, 8));
   EXPECT_FALSE(gemm::use_blocked(GemmKind::kTN, 4, 8, 32));   // 1k MACs
   EXPECT_FALSE(gemm::use_blocked(GemmKind::kTN, 2, 256, 64));  // m < kMr
   EXPECT_FALSE(gemm::use_blocked(GemmKind::kTN, 64, 256, 4));  // n < kNr
-  EXPECT_FALSE(gemm::use_blocked(GemmKind::kNN, 32, 32, 16));
+  EXPECT_FALSE(gemm::use_blocked(GemmKind::kNN, 2, 128, 128, /*batch=*/4));  // m < kMr
+  EXPECT_TRUE(gemm::use_blocked(GemmKind::kNT, 2, 32, 32));
+  EXPECT_TRUE(gemm::use_blocked(GemmKind::kNT, 3, 64, 64));
+  EXPECT_TRUE(gemm::use_blocked(GemmKind::kNT, 4, 64, 32));
+  EXPECT_TRUE(gemm::use_blocked(GemmKind::kNN, 4, 64, 64));
+  EXPECT_TRUE(gemm::use_blocked(GemmKind::kNN, 32, 32, 16));
+  EXPECT_FALSE(gemm::use_blocked(GemmKind::kNN, 4, 16, 16));  // 1k MACs
+  EXPECT_FALSE(gemm::use_blocked(GemmKind::kNT, 1, 768, 768));
   EXPECT_TRUE(gemm::use_blocked(GemmKind::kNN, 32, 32, 16, /*batch=*/32));
   EXPECT_TRUE(gemm::use_blocked(GemmKind::kNT, 32, 16, 32, /*batch=*/32));
   EXPECT_FALSE(gemm::use_blocked(GemmKind::kNT, 32, 16, 4, /*batch=*/32));
@@ -635,15 +703,17 @@ TEST(PackedWeightCache, PackedBuildSwapsPackableLayersAndStaysClose) {
   nn::DecodeWeightCache fp32_cache(model);
   nn::DecodeWeightCache packed_cache(model, /*pack_compressed=*/true);
   EXPECT_TRUE(packed_cache.built());
-  // The quantized layer moves to packed storage; its fp32 entry disappears.
-  EXPECT_NE(packed_cache.find_packed(&quantized), nullptr);
-  EXPECT_EQ(packed_cache.find(&quantized), nullptr);
-  EXPECT_EQ(packed_cache.find_packed(&lora), nullptr);
+  // The quantized layer's one entry moves from fp32 panels to packed
+  // storage; the LoRA layer has no entry in either cache.
+  ASSERT_NE(fp32_cache.find(&quantized), nullptr);
+  EXPECT_TRUE(std::holds_alternative<gemm::NtPanels>(*fp32_cache.find(&quantized)));
+  ASSERT_NE(packed_cache.find(&quantized), nullptr);
   EXPECT_EQ(packed_cache.find(&lora), nullptr);
-  // Packed payloads are smaller than the fp32 snapshots they replace.
+  // Packed payloads are smaller than the fp32 panels they replace.
   EXPECT_LT(packed_cache.bytes(), fp32_cache.bytes());
   // The packed entry holds the layer's actual quantized weight.
-  const quant::PackedMatrix* pw = packed_cache.find_packed(&quantized);
+  const auto* pw = std::get_if<quant::PackedMatrix>(packed_cache.find(&quantized));
+  ASSERT_NE(pw, nullptr);
   EXPECT_EQ(pw->rows(), quantized.out_features());
   EXPECT_EQ(pw->cols(), quantized.in_features());
   EXPECT_EQ(pw->bits(), 8);

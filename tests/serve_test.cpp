@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
+#include <variant>
 
 #include "core/voting.hpp"
 #include "serve/engine.hpp"
@@ -239,7 +242,10 @@ TEST(BatchedDecode, IdenticalToSingleSequenceDecode) {
 
 // A weight cache built against a frozen model must not change a single bit
 // of the decode — including when compression makes the effective weight
-// non-trivial, and when a LoRA layer forces the per-layer fallback.
+// non-trivial, when a LoRA layer forces the per-layer fallback, and when
+// five stacked rows run a full and a partial kMr strip through the panels.
+// A pack_compressed cache moves the int8 layer to integer numerics (close
+// to fp32, not bitwise); its stacked rows still match each row fed alone.
 TEST(BatchedDecode, WeightCacheIsBitwiseIdentical) {
   const nn::ModelConfig cfg = tiny_config();
   Rng rng(47);
@@ -252,32 +258,133 @@ TEST(BatchedDecode, WeightCacheIsBitwiseIdentical) {
   model.set_eval();
 
   nn::DecodeWeightCache wc(model);
+  nn::DecodeWeightCache packed(model, /*pack_compressed=*/true);
   EXPECT_TRUE(wc.built());
   EXPECT_GT(wc.bytes(), 0);
-  // LoRA layers stay uncached so their adapter path still runs.
-  EXPECT_EQ(wc.find(&model.blocks()[1]->attention().q_proj()), nullptr);
-  EXPECT_NE(wc.find(&model.blocks()[0]->attention().q_proj()), nullptr);
+  // LoRA layers stay uncached so their adapter path still runs; every other
+  // layer holds one entry: fp32 panels, or packed int8 under pack_compressed.
+  const nn::Linear* lora = &model.blocks()[1]->attention().q_proj();
+  const nn::Linear* int8 = &model.blocks()[0]->attention().q_proj();
+  const nn::Linear* plain = &model.blocks()[1]->attention().k_proj();
+  EXPECT_EQ(wc.find(lora), nullptr);
+  EXPECT_EQ(packed.find(lora), nullptr);
+  ASSERT_NE(wc.find(int8), nullptr);
+  EXPECT_TRUE(std::holds_alternative<ops::gemm::NtPanels>(*wc.find(int8)));
+  ASSERT_NE(packed.find(int8), nullptr);
+  EXPECT_TRUE(std::holds_alternative<quant::PackedMatrix>(*packed.find(int8)));
+  ASSERT_NE(packed.find(plain), nullptr);
+  EXPECT_TRUE(std::holds_alternative<ops::gemm::NtPanels>(*packed.find(plain)));
 
-  const std::vector<int64_t> prompt = seq_tokens(5, cfg.vocab, 3);
-  nn::KvCache plain(cfg.n_layers, cfg.kv_dim(), false);
-  nn::KvCache cached(cfg.n_layers, cfg.kv_dim(), false);
-  for (size_t t = 0; t < prompt.size(); ++t) {
-    nn::BatchedSeq a;
-    a.cache = &plain;
-    a.position = static_cast<int64_t>(t);
-    a.tokens = std::span(&prompt[t], 1);
-    a.all_exits = true;
-    nn::BatchedSeq b = a;
-    b.cache = &cached;
-    nn::batched_decode_step(model, std::span<nn::BatchedSeq>(&a, 1));
-    nn::batched_decode_step(model, std::span<nn::BatchedSeq>(&b, 1), &wc);
-    ASSERT_EQ(a.logits.size(), b.logits.size());
-    for (size_t e = 0; e < a.logits.size(); ++e) {
-      for (int64_t v = 0; v < a.logits[e].numel(); ++v) {
-        ASSERT_EQ(a.logits[e][v], b.logits[e][v]) << "pos " << t << " exit " << e << " v " << v;
+  // Five sequences decode in lockstep, every registered exit collected;
+  // `stacked` feeds them as one 5-row batch, else one sequence per call.
+  constexpr int64_t kSeqs = 5, kSteps = 4;
+  const auto run = [&](const nn::DecodeWeightCache* cache, bool stacked) {
+    std::vector<nn::KvCache> caches(kSeqs);
+    std::vector<std::vector<int64_t>> toks;
+    for (int64_t s = 0; s < kSeqs; ++s) {
+      caches[s].configure(cfg.n_layers, cfg.kv_dim(), false);
+      toks.push_back(seq_tokens(kSteps, cfg.vocab, 3 + s));
+    }
+    std::vector<Tensor> logits;
+    for (int64_t t = 0; t < kSteps; ++t) {
+      std::vector<nn::BatchedSeq> seqs(kSeqs);
+      for (int64_t s = 0; s < kSeqs; ++s) {
+        seqs[s].cache = &caches[s];
+        seqs[s].position = t;
+        seqs[s].tokens = std::span(&toks[s][t], 1);
+        seqs[s].all_exits = true;
+      }
+      if (stacked) {
+        nn::batched_decode_step(model, seqs, cache);
+      } else {
+        for (nn::BatchedSeq& one : seqs) {
+          nn::batched_decode_step(model, std::span<nn::BatchedSeq>(&one, 1), cache);
+        }
+      }
+      for (nn::BatchedSeq& one : seqs) {
+        for (Tensor& l : one.logits) logits.push_back(std::move(l));
       }
     }
+    return logits;
+  };
+  const auto expect_same_bits = [](const std::vector<Tensor>& got,
+                                   const std::vector<Tensor>& want, const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].numel(), want[i].numel()) << what;
+      ASSERT_EQ(std::memcmp(got[i].raw(), want[i].raw(),
+                            sizeof(float) * static_cast<size_t>(got[i].numel())),
+                0)
+          << what << ": logits " << i;
+    }
+  };
+  const std::vector<Tensor> reference = run(nullptr, /*stacked=*/false);
+  expect_same_bits(run(&wc, /*stacked=*/false), reference, "cached, one row per call");
+  expect_same_bits(run(&wc, /*stacked=*/true), reference, "cached, five stacked rows");
+  expect_same_bits(run(&packed, /*stacked=*/true), run(&packed, /*stacked=*/false),
+                   "packed cache, stacked vs one row per call");
+}
+
+// Every cached decode GEMM multiplies against the cache's panels and
+// never the model's weights, so no decode projection or exit head runs
+// Linear::forward (and through it ops::matmul_nt's cut-over dispatch and
+// naive loop): with every cached weight poisoned after build(), cached
+// decode still gives the clean logits bit for bit, while uncached decode
+// reads the poison.
+TEST(BatchedDecode, CachedDecodeNeverReadsModelWeights) {
+  const nn::ModelConfig cfg = tiny_config();
+  Rng rng(48);
+  nn::CausalLm model(cfg, rng);
+  quant::QuantSpec q;
+  q.bits = 8;
+  model.blocks()[0]->set_compression(q, std::nullopt);
+  model.set_eval();
+  const nn::DecodeWeightCache wc(model);
+
+  constexpr int64_t kSeqs = 5;
+  const auto decode = [&](const nn::DecodeWeightCache* cache) {
+    std::vector<nn::KvCache> caches(kSeqs);
+    std::vector<std::vector<int64_t>> toks;
+    std::vector<nn::BatchedSeq> seqs(kSeqs);
+    for (int64_t s = 0; s < kSeqs; ++s) {
+      caches[s].configure(cfg.n_layers, cfg.kv_dim(), false);
+      toks.push_back(seq_tokens(1 + s, cfg.vocab, 11 + s));  // 1-5 prompt rows each
+    }
+    for (int64_t s = 0; s < kSeqs; ++s) {
+      seqs[s].cache = &caches[s];
+      seqs[s].tokens = toks[s];
+      seqs[s].all_exits = true;
+    }
+    nn::batched_decode_step(model, seqs, cache);
+    std::vector<Tensor> logits;
+    for (nn::BatchedSeq& one : seqs) {
+      for (Tensor& l : one.logits) logits.push_back(std::move(l));
+    }
+    return logits;
+  };
+  const std::vector<Tensor> clean = decode(&wc);
+
+  std::vector<nn::Linear*> cached;
+  for (nn::TransformerBlock* b : model.blocks()) {
+    for (nn::Linear* lin : b->linears()) cached.push_back(lin);
   }
+  for (int64_t e = 0; e < static_cast<int64_t>(cfg.exit_layers.size()); ++e) {
+    cached.push_back(&model.exit_head(e));
+  }
+  for (nn::Linear* lin : cached) {
+    ASSERT_NE(wc.find(lin), nullptr);
+    lin->weight().value.fill(std::numeric_limits<float>::quiet_NaN());
+  }
+
+  const std::vector<Tensor> poisoned = decode(&wc);
+  ASSERT_EQ(poisoned.size(), clean.size());
+  for (size_t i = 0; i < clean.size(); ++i) {
+    ASSERT_EQ(std::memcmp(poisoned[i].raw(), clean[i].raw(),
+                          sizeof(float) * static_cast<size_t>(clean[i].numel())),
+              0)
+        << "logits " << i;
+  }
+  for (const Tensor& l : decode(nullptr)) EXPECT_TRUE(std::isnan(l[0]));
 }
 
 // Mixed exits in one batch: an early-exit sequence rides along with full
