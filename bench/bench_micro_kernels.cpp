@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "quant/packed.hpp"
 #include "nn/attention.hpp"
+#include "nn/decoder.hpp"
 #include "prune/prune.hpp"
 #include "quant/quant.hpp"
 #include "tensor/gemm.hpp"
@@ -321,13 +322,15 @@ void run_obs_sweep(const std::string& path) {
 /// the adaptation step's TN and per-head batched shapes, the pre-packed NT
 /// kernel on the decode shapes (vs naive and per-call blocked), plus the packed
 /// integer kernel vs the dequantize-to-fp32-then-matmul path it replaces,
-/// plus a thread sweep of the blocked kernel on the largest dense shape.
-/// Every pairing is bitwise identical by construction (tensor/gemm.hpp,
-/// asserted by ctest -L gemm) — this measures only the speed side.
-/// Returns false (after writing the JSON) when the blocked kernel loses to
-/// the naive one on the largest dense NT shape or on any adaptation TN
-/// shape, or the pre-packed kernel loses to naive on a decode shape — the
-/// CI perf-smoke gate.
+/// plus a thread sweep of the blocked kernel on the largest dense shape, plus
+/// the SIMD backend vs forced-scalar dispatch (GEMM, dequant-dot, elementwise,
+/// decode attention). Every pairing is bitwise identical by construction
+/// (tensor/gemm.hpp, asserted by ctest -L gemm and -L simd) — this measures
+/// only the speed side. Returns false (after writing the JSON) when the
+/// blocked kernel loses to the naive one on the largest dense NT shape or on
+/// any adaptation TN shape, the pre-packed kernel loses to naive on a decode
+/// shape, or a vector kernel loses to its scalar twin — the CI perf-smoke
+/// gate.
 bool run_gemm_sweep(const std::string& path) {
   Rng rng(9);
   std::ofstream js(path);
@@ -501,6 +504,7 @@ bool run_gemm_sweep(const std::string& path) {
   // gates below auto-pass.
   double simd_gemm_speedup = 1.0;
   double simd_dequant_speedup_min = 1e300;
+  double attn_speedup_min = 1e300;
   const bool have_vector = simd::detected_isa() != simd::Isa::kScalar;
   {
     const char* native = simd::to_string(simd::detected_isa());
@@ -590,31 +594,72 @@ bool run_gemm_sweep(const std::string& path) {
       benchmark::DoNotOptimize(ops::gelu_grad(gx, gg));
     });
     emit("gelu_grad_simd", 32, 256, 0, 256, 1, gg_scalar, gg_vector, "scalar_simd");
+
+    // Decode attention (nn::attend_sequence): one new row at position t-1
+    // of a 4-head x dh-16 sequence (the serving model's layout) over t
+    // cached rows, fp32 and int8 KV. Rows: m = 1 query row, k = dh,
+    // n = t, batch = heads.
+    nn::ModelConfig acfg;
+    acfg.d_model = 64;
+    acfg.n_heads = 4;
+    acfg.max_seq = 64;
+    const Tensor q = randn({1, acfg.d_model}, rng);
+    Tensor ctx({1, acfg.d_model});
+    for (const int bits : {32, 8}) {
+      for (const int64_t t : {int64_t{8}, int64_t{33}, int64_t{64}}) {
+        nn::KvCache cache(1, acfg.kv_dim(), bits == 8);
+        for (int64_t p = 0; p < t; ++p) {
+          const Tensor kv = randn({2, acfg.kv_dim()}, rng);
+          cache.append(0, kv.raw(), kv.raw() + acfg.kv_dim());
+        }
+        const auto attend = [&] {
+          nn::attend_sequence(acfg, cache, 0, t - 1, 1, q.raw(), ctx.raw());
+          benchmark::DoNotOptimize(ctx.raw());
+        };
+        const auto attend_under = [&](const char* isa) {
+          if (!simd::set_dispatch(isa)) std::abort();
+          const double ms = min_time_ms(21, 500, attend);
+          simd::set_dispatch("auto");
+          return ms;
+        };
+        const double a_scalar = attend_under("scalar");
+        const double a_vector = attend_under(native);
+        attn_speedup_min = std::min(attn_speedup_min, a_scalar / a_vector);
+        emit("attn_decode_simd", bits, 1, acfg.d_model / acfg.n_heads, t, 1, a_scalar, a_vector,
+             "scalar_simd", acfg.n_heads);
+      }
+    }
   }
-  if (!have_vector) simd_dequant_speedup_min = 1.0;
+  if (!have_vector) {
+    simd_dequant_speedup_min = 1.0;
+    attn_speedup_min = 1.0;
+  }
 
   js << "\n  ],\n  \"largest_dense_nt_speedup\": " << largest_dense_speedup
      << ",\n  \"adapt_tn_min_speedup\": " << adapt_tn_speedup_min
      << ",\n  \"nt_prepacked_min_speedup\": " << prepacked_speedup_min
      << ",\n  \"simd_isa\": \"" << simd::to_string(simd::detected_isa())
      << "\",\n  \"simd_nt256_speedup\": " << simd_gemm_speedup
-     << ",\n  \"simd_dequant_dot_min_speedup\": " << simd_dequant_speedup_min << "\n}\n";
+     << ",\n  \"simd_dequant_dot_min_speedup\": " << simd_dequant_speedup_min
+     << ",\n  \"attn_min_speedup\": " << attn_speedup_min << "\n}\n";
   std::cout << "gemm sweep: blocked NT speedup at 256^3 = " << largest_dense_speedup
             << "x vs naive; blocked TN min over the adapt shapes = " << adapt_tn_speedup_min
             << "x; prepacked NT min over the decode shapes = " << prepacked_speedup_min
             << "x; simd (" << simd::to_string(simd::detected_isa())
             << ") vs scalar at 256^3 NT = " << simd_gemm_speedup
-            << "x, fused dequant-dot min = " << simd_dequant_speedup_min << "x; wrote " << path
-            << "\n";
+            << "x, fused dequant-dot min = " << simd_dequant_speedup_min
+            << "x, decode attention min = " << attn_speedup_min << "x; wrote " << path << "\n";
   // Gate: blocked must beat naive (largest dense NT, every adapt TN shape),
   // prepacked must not lose to naive on any decode shape, and on hosts with
-  // a vector backend the vectorized kernels must beat forced-scalar. The bars are deliberately below the typical 2-4x so
-  // scheduler noise on shared CI runners can't flake the job; the committed
-  // BENCH_gemm.json records the real margins.
+  // a vector backend the vectorized kernels (GEMM, dequant-dot, decode
+  // attention) must beat forced-scalar. The bars are deliberately below the
+  // typical 2-4x so scheduler noise on shared CI runners can't flake the
+  // job; the committed BENCH_gemm.json records the real margins.
   bool ok = largest_dense_speedup >= 1.0 && adapt_tn_speedup_min >= 1.0 &&
             prepacked_speedup_min >= 1.0;
   if (have_vector) {
-    ok = ok && simd_gemm_speedup >= 1.3 && simd_dequant_speedup_min >= 1.0;
+    ok = ok && simd_gemm_speedup >= 1.3 && simd_dequant_speedup_min >= 1.0 &&
+         attn_speedup_min >= 1.0;
   }
   return ok;
 }
@@ -649,7 +694,8 @@ int main(int argc, char** argv) {
     if (check_gemm && !ok) {
       std::cerr << "gemm sweep: blocked kernel lost to naive on the largest dense shape or "
                    "an adapt TN shape, the prepacked kernel lost to naive on a decode shape, "
-                   "or the vectorized kernels lost to forced-scalar dispatch\n";
+                   "or the vectorized kernels (GEMM, dequant-dot, decode attention) lost to "
+                   "forced-scalar dispatch\n";
       return 1;
     }
   }

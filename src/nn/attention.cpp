@@ -88,7 +88,9 @@ Tensor MultiHeadAttention::reduce_kv(const Tensor& x, int64_t b, int64_t t) cons
 }
 
 Tensor MultiHeadAttention::forward(const Tensor& x) {
-  check_arg(x.ndim() == 3 && x.dim(2) == d_model_, name_ + ": expects [B, T, C]");
+  if (x.ndim() != 3 || x.dim(2) != d_model_) {
+    throw std::invalid_argument(name_ + ": expects [B, T, C]");
+  }
   const int64_t b = x.dim(0), t = x.dim(1);
 
   // Projections share this module's grad flag so the tuner can disable
@@ -132,11 +134,14 @@ Tensor MultiHeadAttention::forward(const Tensor& x) {
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& grad_out) {
-  check_arg(grad_enabled_ && has_cache_, name_ + ": backward without cached forward");
+  if (!grad_enabled_ || !has_cache_) {
+    throw std::invalid_argument(name_ + ": backward without cached forward");
+  }
   const int64_t b = cached_b_, t = cached_t_;
-  check_arg(grad_out.ndim() == 3 && grad_out.dim(0) == b && grad_out.dim(1) == t &&
-                grad_out.dim(2) == d_model_,
-            name_ + ": grad shape mismatch");
+  if (grad_out.ndim() != 3 || grad_out.dim(0) != b || grad_out.dim(1) != t ||
+      grad_out.dim(2) != d_model_) {
+    throw std::invalid_argument(name_ + ": grad shape mismatch");
+  }
 
   const Tensor grad_merged = o_->backward(grad_out);
   const Tensor grad_ctx = split_heads(grad_merged, b, t, n_heads_);  // [B*H, T, Dh]

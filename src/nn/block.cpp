@@ -26,7 +26,7 @@ Tensor TransformerBlock::forward(const Tensor& x) {
 }
 
 Tensor TransformerBlock::backward(const Tensor& grad_out) {
-  check_arg(grad_enabled_, name_ + ": backward while grad disabled");
+  if (!grad_enabled_) throw std::invalid_argument(name_ + ": backward while grad disabled");
   // Second residual: h + mlp(norm2(h))
   Tensor grad_h = ops::add(grad_out, norm2_->backward(mlp_->backward(grad_out)));
   // First residual: x + attn(norm1(x))

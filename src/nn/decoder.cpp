@@ -8,6 +8,7 @@
 #include "quant/packed.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
+#include "tensor/simd.hpp"
 
 namespace edgellm::nn {
 
@@ -31,69 +32,117 @@ void scatter_rows(const Tensor& src, const std::vector<int64_t>& rows, Tensor& d
   }
 }
 
-// Causal attention for one sequence's new token: `q` is this token's query
-// row [d_model]; keys/values come from the cache (t cached positions
-// including this token's). Writes the merged heads into `ctx` [d_model].
-void attend_one(const ModelConfig& cfg, const KvSequenceView& cache, int64_t layer, int64_t t,
-                const float* q, float* ctx, std::vector<float>& row,
-                std::vector<float>& scores) {
-  const int64_t n_heads = cfg.n_heads;
-  const int64_t dh = cfg.d_model / n_heads;
-  const int64_t group = n_heads / cfg.kv_heads();
-  const float alpha = 1.0f / std::sqrt(static_cast<float>(dh));
+// Per-thread decode attention scratch: grown on demand (never past what
+// max_seq needs) and reused across layers, sequences and steps, so a step
+// allocates nothing per layer per sequence.
+struct AttnScratch {
+  // Cached K rows [0, t) transposed into kNr-position panels, [kv_dim][kNr]
+  // per panel (the gemm_tile B layout), lanes past t zero.
+  std::vector<float, simd::PanelAllocator<float>> panels;
+  std::vector<float> scores;        // [kMr rows][n_heads][t_pad]
+  std::vector<const float*> k, v;   // K and V row pointer per cached position
+  std::vector<float> k_rows, v_rows;  // int8 caches: dequantised rows [t][kv_dim]
+};
 
+AttnScratch& attn_scratch() {
+  thread_local AttnScratch scratch;
+  return scratch;
+}
+
+template <typename Vec>
+void grow(Vec& v, int64_t n) {
+  if (static_cast<int64_t>(v.size()) < n) v.resize(static_cast<size_t>(n));
+}
+
+}  // namespace
+
+void attend_sequence(const ModelConfig& cfg, const KvSequenceView& cache, int64_t layer,
+                     int64_t first_position, int64_t m, const float* q, float* ctx) {
+  constexpr int64_t kMr = ops::gemm::kMr;
+  constexpr int64_t kNr = ops::gemm::kNr;
+  const int64_t c = cfg.d_model;
+  const int64_t n_heads = cfg.n_heads;
+  const int64_t dh = c / n_heads;
+  const int64_t group = n_heads / cfg.kv_heads();
+  const int64_t kvd = cache.kv_dim();
+  const float alpha = 1.0f / std::sqrt(static_cast<float>(dh));
+  const int64_t t_all = first_position + m;  // cached rows the last row reads
+  const int64_t t_pad = (t_all + kNr - 1) / kNr * kNr;
+  check_arg(m >= 1 && cache.positions(layer) >= t_all,
+            "attend_sequence: rows must be appended before they attend");
+  AttnScratch& s = attn_scratch();
   const bool qz = cache.quantized();
-  row.resize(static_cast<size_t>(cache.kv_dim()));
-  scores.resize(static_cast<size_t>(n_heads * t));  // fully overwritten below
-  // Pass 1: scores — each cached K row is dequantised once (or, for fp32
-  // caches, read in place) and shared by all query heads (GQA groups map
-  // onto the same KV head).
-  for (int64_t p = 0; p < t; ++p) {
-    const float* kr;
+
+  // One gather per sequence and layer, shared by all of its rows: row
+  // pointers (int8 rows dequantised once), then K transposed into panels.
+  const simd::KernelTable& kt = simd::kernels();
+  grow(s.panels, t_pad * kvd);
+  grow(s.k, t_all);
+  grow(s.v, t_all);
+  if (qz) {
+    grow(s.k_rows, t_all * kvd);
+    grow(s.v_rows, t_all * kvd);
+  }
+  for (int64_t p = 0; p < t_all; ++p) {
+    const auto i = static_cast<size_t>(p);
     if (qz) {
-      cache.load_k(layer, p, row.data());
-      kr = row.data();
+      float* kr = s.k_rows.data() + p * kvd;
+      float* vr = s.v_rows.data() + p * kvd;
+      cache.load_k(layer, p, kr);
+      cache.load_v(layer, p, vr);
+      s.k[i] = kr;
+      s.v[i] = vr;
     } else {
-      kr = cache.k_row(layer, p);
-    }
-    for (int64_t head = 0; head < n_heads; ++head) {
-      const int64_t off = head * dh;
-      const int64_t kv_off = (head / group) * dh;
-      float s = 0.0f;
-      for (int64_t d = 0; d < dh; ++d) s += q[off + d] * kr[kv_off + d];
-      scores[static_cast<size_t>(head * t + p)] = s * alpha;
+      s.k[i] = cache.k_row(layer, p);
+      s.v[i] = cache.v_row(layer, p);
     }
   }
-  // Per-head softmax over cached positions.
-  for (int64_t head = 0; head < n_heads; ++head) {
-    float* s = scores.data() + head * t;
-    float mx = -1e30f;
-    for (int64_t p = 0; p < t; ++p) mx = std::max(mx, s[p]);
-    float denom = 0.0f;
-    for (int64_t p = 0; p < t; ++p) {
-      s[p] = std::exp(s[p] - mx);
-      denom += s[p];
-    }
-    const float inv = 1.0f / denom;
-    for (int64_t p = 0; p < t; ++p) s[p] *= inv;
+  float* panels = s.panels.data();
+  for (int64_t p0 = 0; p0 < t_all; p0 += kNr) {
+    kt.pack_kpanel(s.k.data() + p0, std::min(kNr, t_all - p0), kvd, panels + p0 * kvd);
   }
-  // Pass 2: weighted V accumulation, again one row per position.
-  for (int64_t p = 0; p < t; ++p) {
-    const float* vr;
-    if (qz) {
-      cache.load_v(layer, p, row.data());
-      vr = row.data();
-    } else {
-      vr = cache.v_row(layer, p);
-    }
+
+  // Rows in strips of kMr share each panel through one gemm_tile call.
+  // Every score is the reference chain 0 + q[0]*k[0] + ... over ascending
+  // d, then * alpha; a row reads only its own first position+1 lanes.
+  const int64_t ldc = n_heads * t_pad;
+  grow(s.scores, kMr * ldc);
+  for (int64_t r0 = 0; r0 < m; r0 += kMr) {
+    const int64_t mr = std::min(kMr, m - r0);
+    const int64_t t_strip = first_position + r0 + mr;
+    float* scores = s.scores.data();
+    std::fill(scores, scores + mr * ldc, 0.0f);
     for (int64_t head = 0; head < n_heads; ++head) {
-      const int64_t off = head * dh;
-      const int64_t kv_off = (head / group) * dh;
-      const float w = scores[static_cast<size_t>(head * t + p)];
-      for (int64_t d = 0; d < dh; ++d) ctx[off + d] += w * vr[kv_off + d];
+      const float* a = q + r0 * c + head * dh;
+      const float* strip = panels + (head / group) * dh * kNr;
+      for (int64_t p0 = 0; p0 < t_strip; p0 += kNr) {
+        kt.gemm_tile(a, c, strip + p0 * kvd, dh, scores + head * t_pad + p0, ldc, mr,
+                     std::min(kNr, t_strip - p0));
+      }
+    }
+    for (int64_t r = 0; r < mr; ++r) {
+      const int64_t t = first_position + r0 + r + 1;
+      float* w = scores + r * ldc;
+      // Softmax per head over the row's positions: scalar max, shared exp,
+      // scalar ascending denominator.
+      for (int64_t head = 0; head < n_heads; ++head) {
+        float* sh = w + head * t_pad;
+        kt.scale_inplace(sh, alpha, t);
+        float mx = -1e30f;
+        for (int64_t p = 0; p < t; ++p) mx = std::max(mx, sh[p]);
+        kt.exp_sub(sh, mx, sh, t);
+        float denom = 0.0f;
+        for (int64_t p = 0; p < t; ++p) denom += sh[p];
+        kt.scale_inplace(sh, 1.0f / denom, t);
+      }
+      float* out = ctx + (r0 + r) * c;
+      std::fill(out, out + c, 0.0f);
+      kt.attn_pv(w, t_pad, s.v.data(), t, n_heads, dh, group, out);
     }
   }
 }
+
+namespace {
 
 // Linear::forward against a cached weight: matmul_nt_prepacked (the same
 // per-output chains as matmul_nt) then add_bias, so fp32 outputs are bitwise
@@ -153,21 +202,25 @@ Tensor embed_rows(CausalLm& model, const std::vector<int64_t>& tokens,
 // decode, chunked prefill, speculative draft and verify): runs layers
 // [lo, hi) over the stacked hidden rows `x` [rows.size(), d_model] in place.
 // A row skips every layer at or past its depth. Rows of one sequence are
-// contiguous and in position order; at each layer they append their K/V in
-// that order and the row at position p attends over exactly the first p+1
-// cached rows, so every row sees the cache a token-at-a-time decode would —
-// the source of every bitwise-identity contract in this file. Everything else is row-independent and runs
-// stacked, so the effective-weight lookups and tensor allocations are paid
-// once per layer for all rows. Opens no span: callers name the work.
+// contiguous and at consecutive positions; at each layer they append their
+// K/V in that order, then attend together (attend_sequence) with the row at
+// position p reading exactly the first p+1 cached rows, so every row sees
+// the cache a token-at-a-time decode would — the source of every
+// bitwise-identity contract in this file. Everything else is
+// row-independent and runs stacked, so the effective-weight lookups and
+// tensor allocations are paid once per layer for all rows. Opens no span:
+// callers name the work.
 void forward_rows(CausalLm& model, Tensor& x, std::span<const StepRow> rows, int64_t lo,
                   int64_t hi, const DecodeWeightCache* weights) {
   const ModelConfig& cfg = model.config();
   const int64_t c = cfg.d_model;
   const int64_t kvd = cfg.kv_dim();
   const int64_t n_rows = static_cast<int64_t>(rows.size());
+  std::vector<int64_t> alive;   // rows whose depth still needs this layer
+  std::vector<int64_t> starts;  // index into `alive` where each sequence begins
   for (int64_t li = lo; li < hi; ++li) {
-    std::vector<int64_t> alive;   // rows whose depth still needs this layer
-    std::vector<int64_t> starts;  // index into `alive` where each sequence begins
+    alive.clear();
+    starts.clear();
     for (int64_t r = 0; r < n_rows; ++r) {
       const StepRow& row = rows[static_cast<size_t>(r)];
       if (row.depth <= li) continue;
@@ -194,19 +247,24 @@ void forward_rows(CausalLm& model, Tensor& x, std::span<const StepRow> rows, int
 
     // Attention fans out per sequence: each owns its cache and its ctx
     // rows, and sequences are independent of one another, so any partition
-    // is bitwise identical to the serial loop. Scratch is per chunk
-    // (attend_one reuses it across a chunk's rows but never shares it
-    // between threads).
+    // is bitwise identical to the serial loop. A sequence appends all of its
+    // rows first, then attends them together against one gather of its
+    // cache (scratch is per thread, never shared).
     Tensor ctx({n, c});
     const int64_t n_seqs = static_cast<int64_t>(starts.size()) - 1;
     parallel::parallel_for(0, n_seqs, 1, [&](int64_t s_lo, int64_t s_hi) {
-      std::vector<float> row_scratch, score_scratch;
-      for (int64_t j = starts[static_cast<size_t>(s_lo)]; j < starts[static_cast<size_t>(s_hi)];
-           ++j) {
-        const StepRow& row = rows[static_cast<size_t>(alive[static_cast<size_t>(j)])];
-        row.cache->append(li, k.raw() + j * kvd, v.raw() + j * kvd);
-        attend_one(cfg, *row.cache, li, row.position + 1, q.raw() + j * c, ctx.raw() + j * c,
-                   row_scratch, score_scratch);
+      for (int64_t sq = s_lo; sq < s_hi; ++sq) {
+        const int64_t j0 = starts[static_cast<size_t>(sq)];
+        const int64_t j1 = starts[static_cast<size_t>(sq) + 1];
+        const StepRow& first = rows[static_cast<size_t>(alive[static_cast<size_t>(j0)])];
+        for (int64_t j = j0; j < j1; ++j) {
+          check_arg(rows[static_cast<size_t>(alive[static_cast<size_t>(j)])].position ==
+                        first.position + (j - j0),
+                    "forward_rows: a sequence's rows must have consecutive positions");
+          first.cache->append(li, k.raw() + j * kvd, v.raw() + j * kvd);
+        }
+        attend_sequence(cfg, *first.cache, li, first.position, j1 - j0, q.raw() + j0 * c,
+                        ctx.raw() + j0 * c);
       }
     });
     const Tensor attn_out = cached_linear(attn.out_proj(), ctx, weights);

@@ -136,6 +136,19 @@ struct BatchedSeq {
 void batched_decode_step(CausalLm& model, std::span<BatchedSeq> seqs,
                          const DecodeWeightCache* weights = nullptr);
 
+/// Causal attention of `m` rows of one sequence, at consecutive positions
+/// first_position .. first_position + m - 1, whose K/V rows `cache` already
+/// holds in `layer`: row j attends over cached positions
+/// [0, first_position + j]. `q` and `ctx` are [m, d_model] row-major; ctx
+/// is overwritten with the merged heads. This is the forward step's
+/// attention (exposed for the kernel bench): K is gathered once into
+/// transposed kNr-position panels that all m rows share, scores run on
+/// the dispatched gemm_tile, softmax uses the shared exp_sub (the same exp
+/// as training's softmax), and P·V runs on the dispatched attn_pv. Results
+/// are bitwise identical at every dispatch choice.
+void attend_sequence(const ModelConfig& cfg, const KvSequenceView& cache, int64_t layer,
+                     int64_t first_position, int64_t m, const float* q, float* ctx);
+
 /// Single-sequence convenience wrapper over batched_decode_step: feeds
 /// `token` at `position`, returns logits at `exit_layer` (0 = final).
 /// `weights` as for batched_decode_step.

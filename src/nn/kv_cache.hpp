@@ -7,10 +7,12 @@
 // exactly the unit a serve::KvCachePool hands out per slot.
 //
 // KvSequenceView is the row-addressed interface the decode path reads and
-// writes through. Attention never assumes contiguous storage — it asks for
-// one (layer, position) row at a time — so the serving layer can back a
-// sequence with paged blocks (serve::PagedKvPool) instead of the
-// contiguous vectors here, and the decode stays bitwise identical: the
+// writes through. Attention never assumes contiguous storage — per
+// sequence and layer it asks for each (layer, position) row once (k_row /
+// v_row in place, or load_k / load_v for int8) and gathers K into its own
+// transposed kernel panels (nn::attend_sequence) — so the serving layer
+// can back a sequence with paged blocks (serve::PagedKvPool) instead of
+// the contiguous vectors here, and the decode stays bitwise identical: the
 // same float rows come back in the same order regardless of where they
 // live.
 #pragma once

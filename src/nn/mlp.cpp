@@ -43,7 +43,9 @@ Tensor Mlp::forward(const Tensor& x) {
 }
 
 Tensor Mlp::backward(const Tensor& grad_out) {
-  check_arg(grad_enabled_ && has_cache_, name_ + ": backward without cached forward");
+  if (!grad_enabled_ || !has_cache_) {
+    throw std::invalid_argument(name_ + ": backward without cached forward");
+  }
   const Tensor grad_a = fc2_->backward(grad_out);
 
   if (kind_ == MlpKind::kGelu) {

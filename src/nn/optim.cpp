@@ -71,21 +71,22 @@ Sgd::Sgd(std::vector<Param*> params, Config cfg) : Optimizer(std::move(params)),
 void Sgd::step() {
   for (Param* p : params_) {
     if (!p->trainable) continue;
+    Tensor& grad = p->grad_buffer();
     if (cfg_.weight_decay > 0.0f) {
       for (int64_t i = 0; i < p->value.numel(); ++i) {
-        p->grad[i] += cfg_.weight_decay * p->value[i];
+        grad[i] += cfg_.weight_decay * p->value[i];
       }
     }
     if (cfg_.momentum > 0.0f) {
       auto [it, inserted] = velocity_.try_emplace(p, p->value.shape());
       Tensor& v = it->second;
       for (int64_t i = 0; i < p->value.numel(); ++i) {
-        v[i] = cfg_.momentum * v[i] + p->grad[i];
+        v[i] = cfg_.momentum * v[i] + grad[i];
         p->value[i] -= cfg_.lr * v[i];
       }
     } else {
       for (int64_t i = 0; i < p->value.numel(); ++i) {
-        p->value[i] -= cfg_.lr * p->grad[i];
+        p->value[i] -= cfg_.lr * grad[i];
       }
     }
   }
@@ -132,8 +133,9 @@ void AdamW::step() {
     }
     Tensor& m = it->second.m;
     Tensor& v = it->second.v;
+    const Tensor& grad = p->grad_buffer();
     for (int64_t i = 0; i < p->value.numel(); ++i) {
-      const float g = p->grad[i];
+      const float g = grad[i];
       m[i] = cfg_.beta1 * m[i] + (1.0f - cfg_.beta1) * g;
       v[i] = cfg_.beta2 * v[i] + (1.0f - cfg_.beta2) * g * g;
       const float mhat = m[i] / bc1;
@@ -199,6 +201,7 @@ void QuantizedAdamW::step() {
     const int64_t blocks = (n + cfg_.block_size - 1) / cfg_.block_size;
     auto [it, inserted] = state_.try_emplace(p);
     State& s = it->second;
+    const Tensor& grad = p->grad_buffer();
     if (inserted) {
       s.m.assign(static_cast<size_t>(n), 0);
       s.v.assign(static_cast<size_t>(n), 0);
@@ -219,7 +222,7 @@ void QuantizedAdamW::step() {
       float mbuf[1024], vbuf[1024];
       check_arg(hi - lo <= 1024, "QuantizedAdamW: block_size too large");
       for (int64_t i = lo; i < hi; ++i) {
-        const float g = p->grad[i];
+        const float g = grad[i];
         float m = ms * static_cast<float>(s.m[static_cast<size_t>(i)]);
         float v = vs * static_cast<float>(s.v[static_cast<size_t>(i)]);
         m = cfg_.beta1 * m + (1.0f - cfg_.beta1) * g;

@@ -44,9 +44,10 @@ class JsonScanner {
 
   void expect(char c) {
     skip_ws();
-    check_arg(pos_ < s_.size() && s_[pos_] == c,
-              std::string("request JSON: expected '") + c + "' at offset " +
-                  std::to_string(pos_) + " in: " + s_);
+    if (pos_ >= s_.size() || s_[pos_] != c) {
+      throw std::invalid_argument(std::string("request JSON: expected '") + c + "' at offset " +
+                                  std::to_string(pos_) + " in: " + s_);
+    }
     ++pos_;
   }
 

@@ -13,9 +13,10 @@ namespace edgellm::ops {
 namespace {
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* what) {
-  check_arg(a.shape() == b.shape(), std::string(what) + ": shape mismatch " +
-                                        shape_to_string(a.shape()) + " vs " +
-                                        shape_to_string(b.shape()));
+  if (a.shape() != b.shape()) {
+    throw std::invalid_argument(std::string(what) + ": shape mismatch " +
+                                shape_to_string(a.shape()) + " vs " + shape_to_string(b.shape()));
+  }
 }
 
 // Chunk sizing: aim for at least this many scalar multiply-adds per chunk

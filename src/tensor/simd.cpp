@@ -194,6 +194,32 @@ double sumsq_scalar(const float* x, int64_t n) {
   return ss;
 }
 
+}  // namespace
+
+void detail::pack_kpanel_scalar(const float* const* rows, int64_t n, int64_t width,
+                                float* panel) {
+  constexpr int64_t kNr = 8;
+  for (int64_t d = 0; d < width; ++d) {
+    for (int64_t r = 0; r < kNr; ++r) panel[d * kNr + r] = r < n ? rows[r][d] : 0.0f;
+  }
+}
+
+// The pre-SIMD decode attention P·V loop, moved here from the decoder:
+// positions outermost, then heads, then the head's dh lanes.
+void detail::attn_pv_scalar(const float* w, int64_t ldw, const float* const* v, int64_t t,
+                            int64_t n_heads, int64_t dh, int64_t group, float* ctx) {
+  for (int64_t p = 0; p < t; ++p) {
+    for (int64_t head = 0; head < n_heads; ++head) {
+      const float wp = w[head * ldw + p];
+      const float* vr = v[p] + (head / group) * dh;
+      float* cr = ctx + head * dh;
+      for (int64_t d = 0; d < dh; ++d) cr[d] = cr[d] + wp * vr[d];
+    }
+  }
+}
+
+namespace {
+
 // The scalar table's fast pointers alias the deterministic kernels, so
 // scalar dispatch is always the reference even in fast_math mode.
 constexpr KernelTable kScalarTable = {
@@ -211,6 +237,8 @@ constexpr KernelTable kScalarTable = {
     .add = add_scalar,
     .rms_apply = rms_apply_scalar,
     .sumsq_fast = sumsq_scalar,
+    .pack_kpanel = detail::pack_kpanel_scalar,
+    .attn_pv = detail::attn_pv_scalar,
 };
 
 // ---------------------------------------------------------------------------

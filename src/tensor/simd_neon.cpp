@@ -390,6 +390,8 @@ constexpr KernelTable kNeonTable = {
     .add = add_neon,
     .rms_apply = rms_apply_neon,
     .sumsq_fast = sumsq_fast_neon,
+    .pack_kpanel = detail::pack_kpanel_scalar,  // no NEON decode attention yet (simd.hpp)
+    .attn_pv = detail::attn_pv_scalar,
 };
 
 }  // namespace

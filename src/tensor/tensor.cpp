@@ -6,9 +6,9 @@
 
 namespace edgellm {
 
-void check_arg(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument(msg);
-}
+void throw_invalid_argument(const char* msg) { throw std::invalid_argument(msg); }
+
+void throw_invalid_argument(const std::string& msg) { throw std::invalid_argument(msg); }
 
 int64_t shape_numel(const Shape& shape) {
   int64_t n = 1;
@@ -40,8 +40,9 @@ Tensor::Tensor(Shape shape, float fill)
 
 Tensor::Tensor(Shape shape, std::vector<float> values)
     : shape_(std::move(shape)), data_(std::move(values)) {
-  check_arg(static_cast<int64_t>(data_.size()) == shape_numel(shape_),
-            "value count does not match shape " + shape_to_string(shape_));
+  if (static_cast<int64_t>(data_.size()) != shape_numel(shape_)) {
+    throw std::invalid_argument("value count does not match shape " + shape_to_string(shape_));
+  }
 }
 
 Tensor Tensor::from_values(std::initializer_list<float> values) {
@@ -88,9 +89,10 @@ float Tensor::at(int64_t i, int64_t j, int64_t k) const {
 }
 
 Tensor Tensor::reshape(Shape new_shape) const {
-  check_arg(shape_numel(new_shape) == numel(),
-            "reshape element count mismatch: " + shape_to_string(shape_) + " -> " +
-                shape_to_string(new_shape));
+  if (shape_numel(new_shape) != numel()) {
+    throw std::invalid_argument("reshape element count mismatch: " + shape_to_string(shape_) +
+                                " -> " + shape_to_string(new_shape));
+  }
   Tensor out(std::move(new_shape), data_);
   return out;
 }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -99,8 +100,21 @@ class Tensor {
   int64_t linear_index(int64_t i, int64_t j, int64_t k) const;
 };
 
+/// Throws std::invalid_argument(msg); out of line so check_arg stays small.
+[[noreturn]] void throw_invalid_argument(const char* msg);
+[[noreturn]] void throw_invalid_argument(const std::string& msg);
+
 /// Throwing check helper used across the library: throws std::invalid_argument
-/// with `msg` when `cond` is false.
-void check_arg(bool cond, const std::string& msg);
+/// with `msg` when `cond` is false. A literal binds the const char* overload,
+/// so a passing check builds no std::string. A message that has to be
+/// formatted belongs on the failing branch instead
+/// (`if (!cond) throw std::invalid_argument(...)`): check_arg's argument is
+/// built before the call, whether or not the check fails.
+inline void check_arg(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] throw_invalid_argument(msg);
+}
+inline void check_arg(bool cond, const std::string& msg) {
+  if (!cond) [[unlikely]] throw_invalid_argument(msg);
+}
 
 }  // namespace edgellm

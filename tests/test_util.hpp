@@ -17,8 +17,25 @@
 #include "nn/model.hpp"
 #include "nn/module.hpp"
 #include "serve/engine.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/simd.hpp"
 
 namespace edgellm::testing {
+
+/// Restores the process-global SIMD dispatch (and fast-math flag) on scope
+/// exit so test order never matters.
+class DispatchScope {
+ public:
+  DispatchScope() : prev_(simd::active_isa()), prev_fast_(ops::gemm::fast_math_enabled()) {}
+  ~DispatchScope() {
+    simd::set_dispatch(simd::to_string(prev_));
+    ops::gemm::set_fast_math(prev_fast_);
+  }
+
+ private:
+  simd::Isa prev_;
+  bool prev_fast_;
+};
 
 /// A tiny model config that keeps tests fast.
 inline nn::ModelConfig tiny_config() {
