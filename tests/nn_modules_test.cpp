@@ -129,7 +129,7 @@ TEST(Optim, SgdConvergesOnQuadratic) {
   Sgd opt({&w}, {.lr = 0.1f, .momentum = 0.0f, .weight_decay = 0.0f});
   for (int i = 0; i < 100; ++i) {
     w.zero_grad();
-    w.grad[0] = 2.0f * (w.value[0] - 3.0f);
+    w.grad_buffer()[0] = 2.0f * (w.value[0] - 3.0f);
     opt.step();
   }
   EXPECT_NEAR(w.value[0], 3.0f, 1e-3f);
@@ -139,7 +139,7 @@ TEST(Optim, SgdMomentumStateBytes) {
   Param w("w", Tensor({8}));
   Sgd opt({&w}, {.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f});
   EXPECT_EQ(opt.state_bytes(), 0);
-  w.grad.fill(1.0f);
+  w.grad_buffer().fill(1.0f);
   opt.step();
   EXPECT_EQ(opt.state_bytes(), 8 * 4);
 }
@@ -149,7 +149,7 @@ TEST(Optim, AdamWConvergesOnQuadratic) {
   AdamW opt({&w}, {.lr = 0.1f});
   for (int i = 0; i < 200; ++i) {
     w.zero_grad();
-    w.grad[0] = 2.0f * (w.value[0] - 3.0f);
+    w.grad_buffer()[0] = 2.0f * (w.value[0] - 3.0f);
     opt.step();
   }
   EXPECT_NEAR(w.value[0], 3.0f, 1e-2f);
@@ -159,7 +159,7 @@ TEST(Optim, FrozenParamsSkipped) {
   Param w("w", Tensor::from_values({1.0f}));
   w.trainable = false;
   AdamW opt({&w}, {.lr = 0.1f});
-  w.grad[0] = 5.0f;
+  w.grad_buffer()[0] = 5.0f;
   opt.step();
   EXPECT_FLOAT_EQ(w.value[0], 1.0f);
   EXPECT_EQ(opt.state_bytes(), 0);
@@ -168,20 +168,20 @@ TEST(Optim, FrozenParamsSkipped) {
 TEST(Optim, StateAllocatedLazilyPerParam) {
   Param a("a", Tensor({4})), b("b", Tensor({4}));
   AdamW opt({&a}, {.lr = 0.1f});
-  a.grad.fill(1.0f);
+  a.grad_buffer().fill(1.0f);
   opt.step();
   const int64_t one = opt.state_bytes();
   EXPECT_EQ(one, 4 * 4 * 2);
   // Re-scoping to {b} keeps a's state (moments survive window revisits).
   opt.set_params({&b});
-  b.grad.fill(1.0f);
+  b.grad_buffer().fill(1.0f);
   opt.step();
   EXPECT_EQ(opt.state_bytes(), 2 * one);
 }
 
 TEST(Optim, ClipGradNorm) {
   Param w("w", Tensor({4}));
-  w.grad.fill(3.0f);  // norm = 6
+  w.grad_buffer().fill(3.0f);  // norm = 6
   const float pre = clip_grad_norm({&w}, 3.0f);
   EXPECT_NEAR(pre, 6.0f, 1e-5f);
   float norm = 0.0f;
@@ -189,7 +189,7 @@ TEST(Optim, ClipGradNorm) {
   EXPECT_NEAR(std::sqrt(norm), 3.0f, 1e-4f);
 
   // Below the threshold nothing changes.
-  w.grad.fill(0.1f);
+  w.grad_buffer().fill(0.1f);
   clip_grad_norm({&w}, 3.0f);
   EXPECT_FLOAT_EQ(w.grad[0], 0.1f);
 }

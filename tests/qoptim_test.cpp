@@ -15,7 +15,7 @@ TEST(QuantizedAdamW, ConvergesOnQuadratic) {
   QuantizedAdamW opt({&w}, {.lr = 0.1f});
   for (int i = 0; i < 200; ++i) {
     w.zero_grad();
-    w.grad[0] = 2.0f * (w.value[0] - 3.0f);
+    w.grad_buffer()[0] = 2.0f * (w.value[0] - 3.0f);
     opt.step();
   }
   EXPECT_NEAR(w.value[0], 3.0f, 5e-2f);
@@ -24,13 +24,13 @@ TEST(QuantizedAdamW, ConvergesOnQuadratic) {
 TEST(QuantizedAdamW, StateBytesQuartered) {
   Param w("w", Tensor({1024}));
   AdamW fp({&w}, {.lr = 0.1f});
-  w.grad.fill(1.0f);
+  w.grad_buffer().fill(1.0f);
   fp.step();
   const int64_t fp_bytes = fp.state_bytes();
 
   Param w2("w2", Tensor({1024}));
   QuantizedAdamW q({&w2}, {.lr = 0.1f});
-  w2.grad.fill(1.0f);
+  w2.grad_buffer().fill(1.0f);
   q.step();
   const int64_t q_bytes = q.state_bytes();
 
@@ -53,8 +53,8 @@ TEST(QuantizedAdamW, TracksFp32AdamWClosely) {
     a.zero_grad();
     b.zero_grad();
     for (int64_t j = 0; j < 256; ++j) {
-      a.grad[j] = 2.0f * (a.value[j] - target[j]);
-      b.grad[j] = 2.0f * (b.value[j] - target[j]);
+      a.grad_buffer()[j] = 2.0f * (a.value[j] - target[j]);
+      b.grad_buffer()[j] = 2.0f * (b.value[j] - target[j]);
     }
     fp.step();
     q.step();
@@ -71,7 +71,7 @@ TEST(QuantizedAdamW, FrozenParamsSkipped) {
   Param w("w", Tensor::from_values({1.0f}));
   w.trainable = false;
   QuantizedAdamW opt({&w}, {.lr = 0.1f});
-  w.grad[0] = 5.0f;
+  w.grad_buffer()[0] = 5.0f;
   opt.step();
   EXPECT_FLOAT_EQ(w.value[0], 1.0f);
   EXPECT_EQ(opt.state_bytes(), 0);
