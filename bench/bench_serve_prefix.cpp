@@ -2,24 +2,25 @@
 // fit under one KV byte budget, and what the shared-prefix cache buys.
 //
 // The workload is the canonical edge-serving shape: every request carries
-// the same long system-prompt prefix plus a short unique tail. The slot
-// pool reserves every sequence's *full* projection up front, so the budget
-// admits only budget / full_projection sequences at a time. The paged pool
-// stores the shared prefix once (pinned while referenced, LRU-evictable
-// after) and reserves only each request's incremental blocks past the
-// cached prefix, so the same byte budget runs several times more sequences
-// concurrently — the tentpole's effective-concurrency claim, measured here
-// as mean batch occupancy over the drain of an identical staged backlog.
+// the same long system-prompt prefix plus a short unique tail. Without
+// prefix reuse (kv_paged off) every sequence reserves its *full*
+// projection up front, so the budget admits only budget / full_projection
+// sequences at a time. With prefix reuse (kv_paged on) finished sequences
+// publish their blocks, the shared prefix is stored once (pinned while
+// referenced, LRU-evictable after) and each request reserves only its
+// incremental blocks past the cached prefix, so the same byte budget runs
+// several times more sequences concurrently — measured here as mean batch
+// occupancy over the drain of an identical staged backlog.
 //
-// Correctness is asserted inside the bench: both pools must produce
-// byte-identical greedy completions for every request, and both engines
-// must satisfy KV conservation after drain.
+// Correctness is asserted inside the bench: both engines must produce
+// byte-identical greedy completions for every request and satisfy KV
+// conservation after drain.
 //
 // A machine-readable summary is written to BENCH_serve_prefix.json
 // (override with --json PATH, disable with --json ""). --check-prefix
 // exits non-zero unless the prefix cache visibly engaged (hit rate > 0),
-// outputs matched, conservation held, and the paged pool sustained at
-// least 2x the slot pool's effective concurrency.
+// outputs matched, conservation held, and prefix reuse sustained at least
+// 2x the no-reuse effective concurrency.
 //
 // Run: ./build/bench/bench_serve_prefix [--requests N] [--tokens N]
 //      [--json out.json] [--check-prefix]
@@ -77,8 +78,8 @@ struct RunResult {
 /// Stages `n_requests` identical-shape requests behind pause(), drains them,
 /// and reports effective concurrency as the occupancy delta over the drain.
 /// A single warm request runs first (outside the measured window) so the
-/// paged engine's prefix cache is populated the way a live system's would
-/// be; the slot engine gets the same warm-up for symmetry.
+/// reuse engine's prefix cache is populated the way a live system's would
+/// be; the no-reuse engine gets the same warm-up for symmetry.
 RunResult run_backlog(nn::CausalLm& model, const serve::EngineConfig& ecfg, int64_t n_requests,
                       int64_t n_new, int64_t vocab) {
   serve::ServeEngine engine(model, ecfg);
@@ -150,13 +151,14 @@ int main(int argc, char** argv) {
   nn::CausalLm model(cfg, rng);
 
   // Budget: exactly three full-projection sequences. Every request projects
-  // kPrefixLen + kTailLen + n_new positions at full depth; the slot pool
-  // reserves all of it per sequence, so its concurrency is 3 by
-  // construction. The paged pool pays that projection only for the blocks
-  // past the shared prefix.
+  // kPrefixLen + kTailLen + n_new positions at full depth, rounded up to
+  // whole blocks; without reuse every sequence reserves all of it, so that
+  // engine's concurrency is 3 by construction. With reuse a request pays
+  // that projection only for the blocks past the shared prefix.
+  constexpr int64_t kBlockTokens = 8;
   const int64_t projected = std::min<int64_t>(kPrefixLen + kTailLen + n_new, cfg.max_seq);
-  const int64_t full_seq_bytes =
-      projected * nn::KvCache::bytes_per_position(cfg.n_layers, cfg.kv_dim(), false);
+  const int64_t full_seq_bytes = (projected + kBlockTokens - 1) / kBlockTokens * kBlockTokens *
+                                 nn::KvCache::bytes_per_position(cfg.n_layers, cfg.kv_dim(), false);
   const int64_t budget = 3 * full_seq_bytes;
 
   serve::EngineConfig base;
@@ -164,39 +166,42 @@ int main(int argc, char** argv) {
   base.max_batch = 16;
   base.queue_capacity = n_requests + 2;
   base.kv_byte_budget = budget;
+  base.kv_block_tokens = kBlockTokens;
 
-  serve::EngineConfig slot_cfg = base;
-  serve::EngineConfig paged_cfg = base;
-  paged_cfg.kv_paged = true;
-  paged_cfg.kv_block_tokens = 8;
+  serve::EngineConfig no_reuse_cfg = base;
+  serve::EngineConfig reuse_cfg = base;
+  reuse_cfg.kv_paged = true;
 
   std::cout << "prefix workload: " << n_requests << " requests, " << kPrefixLen
             << "-token shared prefix + " << kTailLen << "-token tail, " << n_new
             << " new tokens each; budget = 3 full sequences (" << budget << " bytes)\n\n";
 
-  const RunResult slot = run_backlog(model, slot_cfg, n_requests, n_new, cfg.vocab);
-  const RunResult paged = run_backlog(model, paged_cfg, n_requests, n_new, cfg.vocab);
+  const RunResult base_run = run_backlog(model, no_reuse_cfg, n_requests, n_new, cfg.vocab);
+  const RunResult reuse = run_backlog(model, reuse_cfg, n_requests, n_new, cfg.vocab);
 
-  const bool outputs_match = slot.outputs == paged.outputs;
-  const double ratio = slot.concurrency > 0.0 ? paged.concurrency / slot.concurrency : 0.0;
+  const bool outputs_match = base_run.outputs == reuse.outputs;
+  const double ratio =
+      base_run.concurrency > 0.0 ? reuse.concurrency / base_run.concurrency : 0.0;
   const double hit_rate =
-      paged.prefix_hit + paged.prefix_miss > 0
-          ? static_cast<double>(paged.prefix_hit) /
-                static_cast<double>(paged.prefix_hit + paged.prefix_miss)
+      reuse.prefix_hit + reuse.prefix_miss > 0
+          ? static_cast<double>(reuse.prefix_hit) /
+                static_cast<double>(reuse.prefix_hit + reuse.prefix_miss)
           : 0.0;
 
-  runtime::TablePrinter table({8, 13, 9, 11, 9, 10, 12});
-  table.row({"pool", "concurrency", "wall ms", "tok/s", "hits", "hit toks", "high water"});
+  runtime::TablePrinter table({17, 13, 9, 11, 9, 10, 12});
+  table.row({"prefix reuse", "concurrency", "wall ms", "tok/s", "hits", "hit toks",
+             "high water"});
   table.rule();
-  table.row({"slot", fmt(slot.concurrency, 2), fmt(slot.wall_ms, 1), fmt(slot.tok_s(), 0),
-             std::to_string(slot.prefix_hit), std::to_string(slot.prefix_hit_tokens),
-             std::to_string(slot.high_water_bytes)});
-  table.row({"paged", fmt(paged.concurrency, 2), fmt(paged.wall_ms, 1), fmt(paged.tok_s(), 0),
-             std::to_string(paged.prefix_hit), std::to_string(paged.prefix_hit_tokens),
-             std::to_string(paged.high_water_bytes)});
+  auto row = [&](const char* name, const RunResult& r) {
+    table.row({name, fmt(r.concurrency, 2), fmt(r.wall_ms, 1), fmt(r.tok_s(), 0),
+               std::to_string(r.prefix_hit), std::to_string(r.prefix_hit_tokens),
+               std::to_string(r.high_water_bytes)});
+  };
+  row("no prefix reuse", base_run);
+  row("prefix reuse", reuse);
 
-  std::cout << "\neffective concurrency: " << fmt(ratio, 2) << "x (paged "
-            << fmt(paged.concurrency, 2) << " vs slot " << fmt(slot.concurrency, 2)
+  std::cout << "\neffective concurrency: " << fmt(ratio, 2) << "x (prefix reuse "
+            << fmt(reuse.concurrency, 2) << " vs no prefix reuse " << fmt(base_run.concurrency, 2)
             << " sequences under the same budget); prefix hit rate " << fmt(hit_rate * 100.0, 1)
             << "%; outputs " << (outputs_match ? "byte-identical" : "DIVERGED") << "\n";
 
@@ -206,16 +211,17 @@ int main(int argc, char** argv) {
     std::ofstream js(json_path);
     js << "{\n  \"requests\": " << n_requests << ",\n  \"prefix_tokens\": " << kPrefixLen
        << ",\n  \"tail_tokens\": " << kTailLen << ",\n  \"new_tokens\": " << n_new
-       << ",\n  \"block_tokens\": " << paged_cfg.kv_block_tokens
+       << ",\n  \"block_tokens\": " << kBlockTokens
        << ",\n  \"kv_byte_budget\": " << budget << ",\n  \"full_sequence_bytes\": "
-       << full_seq_bytes << ",\n  \"slot\": {\"concurrency\": " << fmt(slot.concurrency, 3)
-       << ", \"wall_ms\": " << fmt(slot.wall_ms, 1) << ", \"tok_s\": " << fmt(slot.tok_s(), 1)
-       << ", \"high_water_bytes\": " << slot.high_water_bytes << "}"
-       << ",\n  \"paged\": {\"concurrency\": " << fmt(paged.concurrency, 3)
-       << ", \"wall_ms\": " << fmt(paged.wall_ms, 1) << ", \"tok_s\": " << fmt(paged.tok_s(), 1)
-       << ", \"high_water_bytes\": " << paged.high_water_bytes
-       << ", \"prefix_hit\": " << paged.prefix_hit << ", \"prefix_miss\": " << paged.prefix_miss
-       << ", \"prefix_hit_tokens\": " << paged.prefix_hit_tokens << "}"
+       << full_seq_bytes << ",\n  \"no_reuse\": {\"concurrency\": "
+       << fmt(base_run.concurrency, 3) << ", \"wall_ms\": " << fmt(base_run.wall_ms, 1)
+       << ", \"tok_s\": " << fmt(base_run.tok_s(), 1)
+       << ", \"high_water_bytes\": " << base_run.high_water_bytes << "}"
+       << ",\n  \"reuse\": {\"concurrency\": " << fmt(reuse.concurrency, 3)
+       << ", \"wall_ms\": " << fmt(reuse.wall_ms, 1) << ", \"tok_s\": " << fmt(reuse.tok_s(), 1)
+       << ", \"high_water_bytes\": " << reuse.high_water_bytes
+       << ", \"prefix_hit\": " << reuse.prefix_hit << ", \"prefix_miss\": " << reuse.prefix_miss
+       << ", \"prefix_hit_tokens\": " << reuse.prefix_hit_tokens << "}"
        << ",\n  \"concurrency_ratio\": " << fmt(ratio, 3)
        << ",\n  \"prefix_hit_rate\": " << fmt(hit_rate, 3)
        << ",\n  \"outputs_byte_identical\": " << (outputs_match ? "true" : "false") << "\n}\n";
@@ -229,10 +235,10 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (!outputs_match) {
-      std::cerr << "CHECK FAILED: paged outputs diverged from slot-pool outputs\n";
+      std::cerr << "CHECK FAILED: prefix-reuse outputs diverged from no-reuse outputs\n";
       ok = false;
     }
-    if (!slot.conserved || !paged.conserved) {
+    if (!base_run.conserved || !reuse.conserved) {
       std::cerr << "CHECK FAILED: KV conservation violated after drain\n";
       ok = false;
     }
@@ -241,7 +247,7 @@ int main(int argc, char** argv) {
                 << "x (want >= 2x)\n";
       ok = false;
     }
-    if (slot.high_water_bytes > budget || paged.high_water_bytes > budget) {
+    if (base_run.high_water_bytes > budget || reuse.high_water_bytes > budget) {
       std::cerr << "CHECK FAILED: KV high water exceeded the byte budget\n";
       ok = false;
     }

@@ -83,19 +83,17 @@ void attend_sequence(const ModelConfig& cfg, const KvSequenceView& cache, int64_
     grow(s.k_rows, t_all * kvd);
     grow(s.v_rows, t_all * kvd);
   }
-  for (int64_t p = 0; p < t_all; ++p) {
-    const auto i = static_cast<size_t>(p);
-    if (qz) {
+  if (qz) {
+    for (int64_t p = 0; p < t_all; ++p) {
       float* kr = s.k_rows.data() + p * kvd;
       float* vr = s.v_rows.data() + p * kvd;
       cache.load_k(layer, p, kr);
       cache.load_v(layer, p, vr);
-      s.k[i] = kr;
-      s.v[i] = vr;
-    } else {
-      s.k[i] = cache.k_row(layer, p);
-      s.v[i] = cache.v_row(layer, p);
+      s.k[static_cast<size_t>(p)] = kr;
+      s.v[static_cast<size_t>(p)] = vr;
     }
+  } else {
+    cache.rows(layer, t_all, s.k.data(), s.v.data());
   }
   float* panels = s.panels.data();
   for (int64_t p0 = 0; p0 < t_all; p0 += kNr) {

@@ -100,6 +100,16 @@ void KvCache::load_row(const std::vector<float>* fp, const std::vector<int8_t>* 
   for (int64_t d = 0; d < kv_dim_; ++d) out[d] = static_cast<float>(row[d]) * scale;
 }
 
+void KvCache::rows(int64_t layer, int64_t n, const float** k, const float** v) const {
+  const size_t li = static_cast<size_t>(layer);
+  const float* kb = quantize_ ? nullptr : k_[li].data();
+  const float* vb = quantize_ ? nullptr : v_[li].data();
+  for (int64_t p = 0; p < n; ++p) {
+    k[p] = kb != nullptr ? kb + p * kv_dim_ : nullptr;
+    v[p] = vb != nullptr ? vb + p * kv_dim_ : nullptr;
+  }
+}
+
 void KvCache::load_k(int64_t layer, int64_t pos, float* out) const {
   const size_t li = static_cast<size_t>(layer);
   load_row(quantize_ ? nullptr : &k_[li], quantize_ ? &kq_[li] : nullptr,

@@ -2,15 +2,16 @@
 // int8-quantized (symmetric, one scale per cached row — the edge-standard
 // 4x KV compression).
 //
-// Extracted from IncrementalDecoder so the serving layer (src/serve) can
-// pool many sequences' caches behind one global byte budget: a KvCache is
-// exactly the unit a serve::KvCachePool hands out per slot.
+// KvCache is IncrementalDecoder's storage and the contiguous reference the
+// serving layer's paged storage (serve::PagedKvPool) is differential-tested
+// against; the serving engine itself keeps every sequence in paged blocks.
 //
 // KvSequenceView is the row-addressed interface the decode path reads and
 // writes through. Attention never assumes contiguous storage — per
-// sequence and layer it asks for each (layer, position) row once (k_row /
-// v_row in place, or load_k / load_v for int8) and gathers K into its own
-// transposed kernel panels (nn::attend_sequence) — so the serving layer
+// sequence and layer it asks once for every cached row's address (rows(),
+// read in place; int8 rows are dequantised one by one through load_k /
+// load_v) and gathers K into its own transposed kernel panels
+// (nn::attend_sequence) — so the serving layer
 // can back a sequence with paged blocks (serve::PagedKvPool) instead of
 // the contiguous vectors here, and the decode stays bitwise identical: the
 // same float rows come back in the same order regardless of where they
@@ -36,10 +37,11 @@ class KvSequenceView {
   virtual void load_k(int64_t layer, int64_t pos, float* out) const = 0;
   virtual void load_v(int64_t layer, int64_t pos, float* out) const = 0;
 
-  /// Direct pointer to a cached fp32 row — nullptr when quantized. Lets hot
-  /// attention loops read rows in place instead of copying via load_k/load_v.
-  virtual const float* k_row(int64_t layer, int64_t pos) const = 0;
-  virtual const float* v_row(int64_t layer, int64_t pos) const = 0;
+  /// Points k[p] / v[p] at the cached fp32 rows of positions [0, n) of
+  /// `layer` (n <= positions(layer)); nullptr when quantized. One call per
+  /// gather lets hot attention loops read every row in place instead of
+  /// copying via load_k/load_v or paying a call per row.
+  virtual void rows(int64_t layer, int64_t n, const float** k, const float** v) const = 0;
 
   virtual int64_t n_layers() const = 0;
   virtual int64_t kv_dim() const = 0;
@@ -60,7 +62,8 @@ class KvSequenceView {
 };
 
 /// Contiguous per-sequence storage: one growing vector per layer. The
-/// single-sequence decoder's cache and the slot-addressed pool's unit.
+/// single-sequence decoder's cache, and the reference the serving layer's
+/// paged storage is differential-tested against.
 class KvCache final : public KvSequenceView {
  public:
   KvCache() = default;
@@ -79,12 +82,7 @@ class KvCache final : public KvSequenceView {
   void load_k(int64_t layer, int64_t pos, float* out) const override;
   void load_v(int64_t layer, int64_t pos, float* out) const override;
 
-  const float* k_row(int64_t layer, int64_t pos) const override {
-    return quantize_ ? nullptr : k_[static_cast<std::size_t>(layer)].data() + pos * kv_dim_;
-  }
-  const float* v_row(int64_t layer, int64_t pos) const override {
-    return quantize_ ? nullptr : v_[static_cast<std::size_t>(layer)].data() + pos * kv_dim_;
-  }
+  void rows(int64_t layer, int64_t n, const float** k, const float** v) const override;
 
   int64_t n_layers() const override { return n_layers_; }
   int64_t kv_dim() const override { return kv_dim_; }

@@ -121,9 +121,11 @@ ServeEngine::ServeEngine(nn::CausalLm& model, EngineConfig cfg)
                              cfg.retry_backoff_ms,
                              degrade_configured(cfg) ? cfg.degrade_budget_retries : 0,
                              cfg.fault},
-             KvPoolConfig{cfg.max_batch, model.config().kv_dim(), cfg.kv_byte_budget,
-                          cfg.quantize_kv, cfg.kv_paged, cfg.kv_block_tokens,
-                          model.config().n_layers, &registry_}) {
+             KvPoolConfig{.kv_dim = model.config().kv_dim(),
+                          .block_tokens = cfg.kv_block_tokens,
+                          .byte_budget = cfg.kv_byte_budget,
+                          .quantize = cfg.quantize_kv,
+                          .registry = &registry_}) {
   check_arg(cfg_.threads >= 1, "ServeEngine: threads must be >= 1");
   check_arg(cfg_.compute_threads >= 0, "ServeEngine: compute_threads must be >= 0");
   check_arg(cfg_.watchdog_stall_ms >= 0, "ServeEngine: watchdog_stall_ms must be >= 0");
@@ -197,9 +199,7 @@ void ServeEngine::resolve(SeqState& s, RequestStatus status) {
   c.metrics.prompt_tokens = static_cast<int64_t>(s.req.prompt.size());
   c.metrics.output_tokens = static_cast<int64_t>(s.out.size());
   c.metrics.total_ms = ms_between(s.submit_t, now);
-  if (s.slot >= 0 || s.position > 0) {
-    c.metrics.queue_wait_ms = ms_between(s.submit_t, s.admit_t);
-  }
+  if (s.admitted()) c.metrics.queue_wait_ms = ms_between(s.submit_t, s.admit_t);
   if (s.has_first_token) {
     c.metrics.ttft_ms = ms_between(s.submit_t, s.first_token_t);
     const double decode_ms = ms_between(s.admit_t, now);
@@ -224,7 +224,7 @@ Pressure ServeEngine::pressure_locked() const {
   p.queue_ratio =
       static_cast<double>(sched_.queued()) / static_cast<double>(cfg_.queue_capacity);
   if (cfg_.kv_byte_budget > 0) {
-    p.kv_ratio = static_cast<double>(sched_.kv_committed_bytes()) /
+    p.kv_ratio = static_cast<double>(sched_.pool().committed_bytes()) /
                  static_cast<double>(cfg_.kv_byte_budget);
   }
   p.tick_ewma_ms = admit_ctl_.tick_ewma_ms();
@@ -308,7 +308,7 @@ std::future<Completion> ServeEngine::submit(Request req, StreamSink sink) {
       can_degrade && rung_floor > 0 ? std::min(depth, rung_floor) : depth;
   const bool impossible =
       cfg_.kv_byte_budget > 0 &&
-      sched_.kv_projected_bytes(projected, floor_depth) > cfg_.kv_byte_budget;
+      sched_.pool().projected_bytes(projected, floor_depth) > cfg_.kv_byte_budget;
 
   std::lock_guard<std::mutex> lk(mu_);
   c_submitted_.add();
@@ -476,11 +476,12 @@ void ServeEngine::run_speculative(std::vector<SpecJob>& jobs) {
 
 void ServeEngine::finish_seq(size_t index, RequestStatus status) {
   sched_.active()[index]->kv_bytes_at_end = sched_.active()[index]->kv->bytes();
-  // Failed decodes must not donate their rows to the prefix cache: the
-  // failing chunk's appends may be torn mid-layer and the contents are
-  // untrusted. Every other terminal retires at a tick barrier with a
-  // consistent cache.
-  std::unique_ptr<SeqState> s = sched_.finish(index, /*reuse=*/status != RequestStatus::kFailed);
+  // Publishing to the prefix cache is what kv_paged turns on. Failed decodes
+  // never publish: the failing chunk's appends may be torn mid-layer and
+  // the contents are untrusted. Every other terminal retires at a tick
+  // barrier with a consistent cache.
+  std::unique_ptr<SeqState> s =
+      sched_.finish(index, /*reuse=*/cfg_.kv_paged && status != RequestStatus::kFailed);
   switch (status) {
     case RequestStatus::kOk: c_completed_.add(); break;
     case RequestStatus::kCancelled: c_cancelled_.add(); break;
@@ -513,7 +514,7 @@ void ServeEngine::loop() {
     heartbeat_.fetch_add(1, std::memory_order_relaxed);
     if (failed_) {
       // The watchdog already resolved every pending promise; reclaim the
-      // slots now that no decode is in flight and stop.
+      // caches now that no decode is in flight and stop.
       sched_.clear_failed();
       return;
     }
@@ -638,7 +639,7 @@ void ServeEngine::loop() {
         SpecJob& job = spec_jobs[slot_of[i]];
         if (job.failed) {
           // Position is not advanced: the cache state is unknown, and the
-          // slot is being released anyway (reuse=false — see finish_seq).
+          // cache is being released anyway (reuse=false — see finish_seq).
           s.error = job.error;
           finish_seq(i, RequestStatus::kFailed);
           continue;
@@ -681,7 +682,7 @@ void ServeEngine::loop() {
         const size_t p = slot_of[i];
         if (chunk_failed[p] != 0) {
           // Position is not advanced: the cache state for this chunk is
-          // unknown, and the slot is being released anyway.
+          // unknown, and the cache is being released anyway.
           s.error = chunk_errors[p];
           finish_seq(i, RequestStatus::kFailed);
           continue;
@@ -738,9 +739,6 @@ void ServeEngine::loop() {
       }
       if (done) finish_seq(i, status);
     }
-    // Workers are quiesced here, so the scheduler may read slot contents
-    // to refresh the poll-safe byte accounting and the high-water mark.
-    sched_.kv_sync_live_bytes();
     const double tick_ms = ms_between(tick_t0, std::chrono::steady_clock::now());
     h_tick_ms_.observe(tick_ms);
     admit_ctl_.observe_tick(tick_ms);
@@ -769,7 +767,7 @@ void ServeEngine::watchdog() {
     if (ms_between(last_progress, now) < static_cast<double>(cfg_.watchdog_stall_ms)) continue;
     // The loop is wedged (stalled decode): fail every pending request so
     // clients get a clean kFailed instead of a future that never resolves,
-    // and stop admitting. Slots are reclaimed when (if) the decode returns.
+    // and stop admitting. Caches are reclaimed when (if) the decode returns.
     c_watchdog_.add();
     failed_ = true;
     accepting_ = false;
@@ -828,7 +826,7 @@ EngineMetrics ServeEngine::metrics() const {
   m.tokens_generated = c_tokens_.value();
   m.ticks = h_batch_.count();
   m.occupancy_sum = h_batch_.sum();
-  m.kv_high_water_bytes = sched_.kv_high_water_bytes();
+  m.kv_high_water_bytes = sched_.pool().high_water_bytes();
   m.kv_budget_bytes = cfg_.kv_byte_budget;
   return m;
 }

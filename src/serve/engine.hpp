@@ -56,14 +56,15 @@ struct EngineConfig {
   /// The engine applies this to the global ops::gemm flag at construction.
   bool fast_math = false;
   int64_t kv_byte_budget = 0;   ///< global KV cache cap in bytes; 0 = unlimited
-  bool quantize_kv = false;     ///< int8 pooled caches
-  /// Paged KV storage (serve::PagedKvPool): block-granular admission under
-  /// the same byte budget, with cross-request prefix reuse — a request
-  /// whose prompt prefix matches a finished sequence's cached blocks skips
-  /// prefilling those positions. Greedy completions are byte-identical to
-  /// the slot pool. Off by default.
+  bool quantize_kv = false;     ///< int8 KV blocks
+  /// Cross-request prefix reuse. KV always lives in serve::PagedKvPool's
+  /// blocks; this flag makes finished sequences publish their full blocks
+  /// to the pool's prefix trie, so a request whose prompt prefix matches
+  /// skips prefilling those positions and reserves only its incremental
+  /// blocks. Greedy completions are byte-identical either way. Off by
+  /// default.
   bool kv_paged = false;
-  int64_t kv_block_tokens = 16;  ///< paged only: positions per KV block
+  int64_t kv_block_tokens = 16;  ///< positions per KV block (admission is block-granular)
   /// Max prompt tokens a prefilling sequence advances per scheduler tick
   /// (chunked prefill): its rows ride in the tick's one batched step.
   /// 1 = classic one-token ticks; higher values reach the first sampled

@@ -8,143 +8,13 @@
 
 namespace edgellm::serve {
 
-KvCachePool::KvCachePool(KvPoolConfig cfg) : cfg_(cfg) {
-  check_arg(cfg_.n_slots > 0, "KvCachePool: n_slots must be positive");
-  check_arg(cfg_.kv_dim > 0, "KvCachePool: kv_dim must be positive");
-  check_arg(cfg_.byte_budget >= 0, "KvCachePool: byte_budget must be >= 0");
-  slots_.resize(static_cast<size_t>(cfg_.n_slots));
-  in_use_.assign(static_cast<size_t>(cfg_.n_slots), false);
-  reserved_.assign(static_cast<size_t>(cfg_.n_slots), 0);
-  live_bytes_.assign(static_cast<size_t>(cfg_.n_slots), 0);
-  if (cfg_.registry != nullptr) {
-    c_acquired_ = &cfg_.registry->counter("kv/acquired");
-    c_rejected_ = &cfg_.registry->counter("kv/rejected");
-    c_released_ = &cfg_.registry->counter("kv/released");
-    g_bytes_ = &cfg_.registry->gauge("kv/bytes_in_use");
-    g_committed_ = &cfg_.registry->gauge("kv/committed_bytes");
-    g_high_water_ = &cfg_.registry->gauge("kv/high_water_bytes");
-  }
-}
-
 const char* to_string(KvAdmitReason r) {
   switch (r) {
     case KvAdmitReason::kOk: return "ok";
     case KvAdmitReason::kByteBudget: return "kv: byte budget exceeded";
-    case KvAdmitReason::kSlotsExhausted: return "kv: slots exhausted";
   }
   return "unknown";
 }
-
-int64_t KvCachePool::acquire(int64_t projected_positions, int64_t n_layers,
-                             KvAdmitReason* reason) {
-  check_arg(projected_positions > 0 && n_layers > 0,
-            "KvCachePool::acquire: positions and layers must be positive");
-  const int64_t projected = projected_bytes(projected_positions, n_layers);
-  if (reason != nullptr) *reason = KvAdmitReason::kOk;
-  std::lock_guard<std::mutex> lk(mu_);
-  if (cfg_.byte_budget > 0 && committed_ + projected > cfg_.byte_budget) {
-    if (c_rejected_ != nullptr) c_rejected_->add();
-    if (reason != nullptr) *reason = KvAdmitReason::kByteBudget;
-    return -1;
-  }
-  for (int64_t i = 0; i < cfg_.n_slots; ++i) {
-    if (in_use_[static_cast<size_t>(i)]) continue;
-    in_use_[static_cast<size_t>(i)] = true;
-    reserved_[static_cast<size_t>(i)] = projected;
-    committed_ += projected;
-    ++in_use_count_;
-    slots_[static_cast<size_t>(i)].configure(n_layers, cfg_.kv_dim, cfg_.quantize);
-    if (c_acquired_ != nullptr) c_acquired_->add();
-    if (g_committed_ != nullptr) g_committed_->set(committed_);
-    return i;
-  }
-  if (c_rejected_ != nullptr) c_rejected_->add();
-  if (reason != nullptr) *reason = KvAdmitReason::kSlotsExhausted;
-  return -1;
-}
-
-void KvCachePool::release(int64_t slot) {
-  check_arg(slot >= 0 && slot < cfg_.n_slots, "KvCachePool::release: slot out of range");
-  const size_t s = static_cast<size_t>(slot);
-  std::lock_guard<std::mutex> lk(mu_);
-  check_arg(in_use_[s], "KvCachePool::release: slot is not in use");
-  in_use_[s] = false;
-  committed_ -= reserved_[s];
-  reserved_[s] = 0;
-  // A slot can grow and die entirely between two sync_live_bytes() barriers,
-  // leaving live_bytes_[s] stale (or zero). Settle its final footprint into
-  // the totals before dropping it so bytes_in_use() never under-reports
-  // between a release and the next barrier and the high-water mark sees
-  // short-lived slots. Reading the slot's contents here is legal: release
-  // runs on the scheduler thread at a tick barrier (see header).
-  const int64_t final_bytes = slots_[s].bytes();
-  live_total_ += final_bytes - live_bytes_[s];
-  high_water_ = std::max(high_water_, live_total_);
-  live_total_ -= final_bytes;
-  live_bytes_[s] = 0;
-  --in_use_count_;
-  // Drop the storage now: a released slot must not count against the
-  // device's memory until re-acquired.
-  slots_[s] = nn::KvCache();
-  if (c_released_ != nullptr) c_released_->add();
-  if (g_bytes_ != nullptr) g_bytes_->set(live_total_);
-  if (g_committed_ != nullptr) g_committed_->set(committed_);
-  if (g_high_water_ != nullptr) g_high_water_->set(high_water_);
-}
-
-nn::KvCache& KvCachePool::slot(int64_t id) {
-  std::lock_guard<std::mutex> lk(mu_);
-  check_arg(id >= 0 && id < cfg_.n_slots && in_use_[static_cast<size_t>(id)],
-            "KvCachePool::slot: not an acquired slot");
-  // The reference stays valid after unlocking: slots_ is sized once at
-  // construction and an acquired slot is owned by its caller until release.
-  return slots_[static_cast<size_t>(id)];
-}
-
-const nn::KvCache& KvCachePool::slot(int64_t id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  check_arg(id >= 0 && id < cfg_.n_slots && in_use_[static_cast<size_t>(id)],
-            "KvCachePool::slot: not an acquired slot");
-  return slots_[static_cast<size_t>(id)];
-}
-
-int64_t KvCachePool::sync_live_bytes() {
-  // Reads slot contents: legal only on the owning scheduler thread at a
-  // tick barrier, when no worker can be appending (see header).
-  std::lock_guard<std::mutex> lk(mu_);
-  int64_t total = 0;
-  for (size_t s = 0; s < slots_.size(); ++s) {
-    live_bytes_[s] = in_use_[s] ? slots_[s].bytes() : 0;
-    total += live_bytes_[s];
-  }
-  live_total_ = total;
-  high_water_ = std::max(high_water_, total);
-  if (g_bytes_ != nullptr) g_bytes_->set(live_total_);
-  if (g_high_water_ != nullptr) g_high_water_->set(high_water_);
-  return total;
-}
-
-int64_t KvCachePool::bytes_in_use() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return live_total_;
-}
-
-int64_t KvCachePool::committed_bytes() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return committed_;
-}
-
-int64_t KvCachePool::high_water_bytes() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return high_water_;
-}
-
-int64_t KvCachePool::slots_in_use() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return in_use_count_;
-}
-
-// --- Paged pool -------------------------------------------------------------
 
 /// One cached prefix block-chunk. A node at depth d (d = blocks.size()
 /// layers) caches block_tokens positions of K/V for the token chunk
@@ -197,7 +67,7 @@ void PagedKvSeq::append(int64_t layer, const float* k, const float* v) {
     // (quantized payload and scales verbatim, so dequantisation stays
     // bitwise identical) into a private block that takes its table entry.
     KvBlock* shared = row[static_cast<size_t>(bi)];
-    KvBlock* own = pool_->allocate_block(this);
+    KvBlock* own = pool_->allocate_block();
     if (quantize_) {
       std::memcpy(own->kq.data(), shared->kq.data(), static_cast<size_t>(off * kv_dim_));
       std::memcpy(own->vq.data(), shared->vq.data(), static_cast<size_t>(off * kv_dim_));
@@ -216,7 +86,7 @@ void PagedKvSeq::append(int64_t layer, const float* k, const float* v) {
     ++cow_forks_;
     pool_->count_cow_fork();
   } else if (bi == static_cast<int64_t>(row.size())) {
-    row.push_back(pool_->allocate_block(this));
+    row.push_back(pool_->allocate_block());
   }
   KvBlock* blk = row[static_cast<size_t>(bi)];
   if (quantize_) {
@@ -259,16 +129,16 @@ void PagedKvSeq::load_v(int64_t layer, int64_t pos, float* out) const {
   }
 }
 
-const float* PagedKvSeq::k_row(int64_t layer, int64_t pos) const {
-  if (quantize_) return nullptr;
-  const KvBlock* blk = table_[static_cast<size_t>(layer)][static_cast<size_t>(pos / block_tokens_)];
-  return blk->k.data() + (pos % block_tokens_) * kv_dim_;
-}
-
-const float* PagedKvSeq::v_row(int64_t layer, int64_t pos) const {
-  if (quantize_) return nullptr;
-  const KvBlock* blk = table_[static_cast<size_t>(layer)][static_cast<size_t>(pos / block_tokens_)];
-  return blk->v.data() + (pos % block_tokens_) * kv_dim_;
+void PagedKvSeq::rows(int64_t layer, int64_t n, const float** k, const float** v) const {
+  const auto& row = table_[static_cast<size_t>(layer)];
+  for (int64_t p0 = 0; p0 < n; p0 += block_tokens_) {
+    const KvBlock* blk = row[static_cast<size_t>(p0 / block_tokens_)];
+    const int64_t m = std::min(block_tokens_, n - p0);
+    for (int64_t i = 0; i < m; ++i) {
+      k[p0 + i] = quantize_ ? nullptr : blk->k.data() + i * kv_dim_;
+      v[p0 + i] = quantize_ ? nullptr : blk->v.data() + i * kv_dim_;
+    }
+  }
 }
 
 void PagedKvSeq::truncate(int64_t n) {
@@ -291,13 +161,18 @@ int64_t PagedKvSeq::bytes() const {
 
 // --- PagedKvPool ------------------------------------------------------------
 
-PagedKvPool::PagedKvPool(PagedKvConfig cfg) : cfg_(cfg) {
+PagedKvPool::PagedKvPool(KvPoolConfig cfg) : cfg_(cfg) {
+  check_arg(cfg_.n_slots > 0, "PagedKvPool: n_slots must be positive");
+  check_arg(cfg_.max_seq > 0, "PagedKvPool: max_seq must be positive");
   check_arg(cfg_.block_tokens > 0, "PagedKvPool: block_tokens must be positive");
   check_arg(cfg_.n_layers > 0, "PagedKvPool: n_layers must be positive");
   check_arg(cfg_.kv_dim > 0, "PagedKvPool: kv_dim must be positive");
   check_arg(cfg_.byte_budget >= 0, "PagedKvPool: byte_budget must be >= 0");
-  check_arg(cfg_.byte_budget == 0 || cfg_.byte_budget >= block_bytes(),
-            "PagedKvPool: byte_budget smaller than one block");
+  // One full batch of full-context sequences: with no byte budget this is
+  // all that bounds the prefix trie, and it is never less than what the
+  // live batch itself could publish in one round of releases.
+  max_cached_blocks_ =
+      cfg_.n_slots * ceil_div(cfg_.max_seq, cfg_.block_tokens) * cfg_.n_layers;
   root_ = std::make_unique<TrieNode>();
   if (cfg_.registry != nullptr) {
     c_acquired_ = &cfg_.registry->counter("kv/acquired");
@@ -429,8 +304,7 @@ KvBlock* PagedKvPool::allocate_block_locked() {
   return b;
 }
 
-KvBlock* PagedKvPool::allocate_block(PagedKvSeq* seq) {
-  (void)seq;  // reservation made at acquire; the seq identity is not needed
+KvBlock* PagedKvPool::allocate_block() {
   std::lock_guard<std::mutex> lk(mu_);
   KvBlock* b = allocate_block_locked();
   update_gauges_locked();
@@ -660,6 +534,11 @@ void PagedKvPool::release(PagedKvSeq* seq, const std::vector<int64_t>& tokens, b
     }
   }
 
+  // Bound the trie: without a byte budget nothing else would ever evict, and
+  // every published release would keep its blocks forever.
+  while (cached_blocks_ > max_cached_blocks_ && evict_one_locked()) {
+  }
+
   if (c_released_ != nullptr) c_released_->add();
   live_.erase(it);
   update_gauges_locked();
@@ -713,10 +592,69 @@ int64_t PagedKvPool::total_blocks() const {
   return static_cast<int64_t>(blocks_.size());
 }
 
-int64_t PagedKvPool::sync_live_bytes() {
+std::string PagedKvPool::audit() const {
   std::lock_guard<std::mutex> lk(mu_);
-  update_gauges_locked();
-  return allocated_blocks_ * block_bytes();
+  std::unordered_map<const KvBlock*, int64_t> owners;
+  std::unordered_map<const TrieNode*, int64_t> pins;
+  int64_t cached = 0;
+  int64_t pinned = 0;
+  std::vector<const TrieNode*> stack = {root_.get()};
+  while (!stack.empty()) {
+    const TrieNode* n = stack.back();
+    stack.pop_back();
+    for (const auto& [key, child] : n->children) stack.push_back(child.get());
+    if (n == root_.get()) continue;
+    cached += static_cast<int64_t>(n->blocks.size());
+    if (n->refs > 0) pinned += node_bytes_locked(*n);
+    for (const KvBlock* b : n->blocks) ++owners[b];
+    const bool leaf_unreferenced = n->children.empty() && n->refs == 0;
+    const auto ev = evictable_.find(n->last_use);
+    const bool indexed = ev != evictable_.end() && ev->second == n;
+    if (leaf_unreferenced != n->evictable || n->evictable != indexed) {
+      return "trie node's eviction index entry disagrees with its refs/children";
+    }
+    pins[n] = 0;
+  }
+  int64_t reserved = 0;
+  for (const auto& [key, seq] : live_) {
+    reserved += seq->reserved_bytes_;
+    for (void* p : seq->pins_) {
+      auto pit = pins.find(static_cast<const TrieNode*>(p));
+      if (pit == pins.end()) return "live sequence pins a node that is not in the trie";
+      ++pit->second;
+    }
+    for (size_t l = 0; l < seq->table_.size(); ++l) {
+      const auto& row = seq->table_[l];
+      for (size_t bi = 0; bi < row.size(); ++bi) {
+        const bool shared = static_cast<int64_t>(bi) < seq->owned_from_[l];
+        if (!shared) {
+          ++owners[row[bi]];
+        } else if (owners.count(row[bi]) == 0) {
+          return "shared table entry does not point at a trie block";
+        }
+      }
+    }
+  }
+  for (const auto& [node, n] : pins) {
+    if (node->refs != n) return "trie node refcount != live sequences pinning it";
+  }
+  for (const auto& [block, n] : owners) {
+    if (n != 1) return "block owned more than once";
+  }
+  for (const KvBlock* b : free_) {
+    if (owners.count(b) != 0) return "free-listed block is still owned";
+  }
+  if (static_cast<int64_t>(owners.size()) != allocated_blocks_) {
+    return "allocated_blocks != blocks owned by live sequences and the trie";
+  }
+  if (allocated_blocks_ + static_cast<int64_t>(free_.size()) !=
+      static_cast<int64_t>(blocks_.size())) {
+    return "allocated + free != blocks ever constructed";
+  }
+  if (cached != cached_blocks_) return "cached_blocks != blocks held by trie nodes";
+  if (pinned != pinned_bytes_) return "pinned bytes != bytes of referenced trie nodes";
+  if (reserved != committed_) return "committed != live sequences' reservations";
+  return "";
 }
 
 }  // namespace edgellm::serve

@@ -1,34 +1,37 @@
-// Serving-side KV cache pools under one global byte budget.
+// Serving-side KV storage: every admitted sequence lives in one
+// PagedKvPool under one global byte budget.
 //
-// Two implementations share the admission vocabulary (KvAdmitReason):
+// vLLM-style paged storage. A sequence's rows live in fixed-size blocks
+// (block_tokens positions x one layer each) chained by a per-layer block
+// table, and admission reserves a sequence's worst-case blocks up front
+// (KvAdmitReason reports why it refused). Finished sequences may also
+// *publish* their full blocks to a prefix trie (release with reuse): a
+// later request whose prompt matches references those blocks in place, so
+// admission reserves only the *incremental* blocks it needs and prefill
+// skips the matched positions. Shared prefix blocks are reference-counted
+// and copy-on-write: a request that diverges mid-block gets a private copy
+// at the divergence point, never mutating the cached prefix. Unreferenced
+// cached prefixes are LRU-evicted when the budget needs the blocks back,
+// and at release whenever the trie holds more than one full batch of
+// full-context sequences (n_slots x ceil(max_seq / block_tokens) x
+// n_layers blocks), so it stays bounded without a budget too.
+// Whether to publish is the caller's policy (the engine's kv_paged); the
+// storage is the same either way.
 //
-//   - KvCachePool: the original slot-addressed pool — one contiguous
-//     nn::KvCache per admitted sequence, whole-sequence projected-peak
-//     reservation. Simple, zero sharing.
-//   - PagedKvPool: vLLM-style paged storage. A sequence's rows live in
-//     fixed-size blocks (block_tokens positions × one layer each) chained
-//     by a per-layer block table, so admission reserves only the
-//     *incremental* blocks a request needs after matching its prompt
-//     against a prefix trie of finished sequences. Shared prefix blocks
-//     are reference-counted and copy-on-write: a request that diverges
-//     mid-block gets a private copy at the divergence point, never
-//     mutating the cached prefix. Unreferenced cached prefixes are
-//     LRU-evicted when the budget needs the blocks back.
-//
-// Thread model (both pools): accounting state is guarded by an internal
-// mutex, so the metrics accessors are safe to poll from any thread while
-// the scheduler acquires/releases. Sequence *contents* are not locked:
-// the engine hands each sequence to exactly one worker between barriers,
-// workers append only to blocks their own sequence owns, and shared
-// prefix blocks are read-only while referenced. Paged block allocation
-// (which may run inside a worker's append) takes the pool mutex; row
-// reads and writes never do.
+// Thread model: accounting state is guarded by an internal mutex, so the
+// metrics accessors are safe to poll from any thread while the scheduler
+// acquires/releases. Sequence *contents* are not locked: the engine hands
+// each sequence to exactly one worker between barriers, workers append
+// only to blocks their own sequence owns, and shared prefix blocks are
+// read-only while referenced. Block allocation (which may run inside a
+// worker's append) takes the pool mutex; row reads and writes never do.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -38,122 +41,11 @@
 namespace edgellm::serve {
 
 struct KvPoolConfig {
-  int64_t n_slots = 8;        ///< max concurrently cached sequences
+  int64_t n_slots = 8;        ///< max concurrently live sequences (set by the scheduler)
+  int64_t max_seq = 0;        ///< model context window (set by the scheduler)
+  int64_t n_layers = 0;       ///< model depth: max layers any sequence may use (set by the scheduler)
   int64_t kv_dim = 0;         ///< model.config().kv_dim()
-  int64_t byte_budget = 0;    ///< global cap on projected cache bytes; 0 = unlimited
-  bool quantize = false;      ///< int8 slots (4x cheaper admission too)
-  /// Use the paged pool (PagedKvPool: block-granular admission with
-  /// cross-request prefix reuse) instead of slot-addressed contiguous
-  /// caches. Greedy outputs are byte-identical either way.
-  bool paged = false;
-  int64_t block_tokens = 16;  ///< paged only: positions per KV block
-  int64_t n_layers = 0;       ///< paged only: model depth (set by the scheduler)
-  /// Non-owning metrics sink (must outlive the pool). The pool keeps
-  /// kv/acquired, kv/rejected and kv/released counters plus kv/bytes_in_use,
-  /// kv/committed_bytes and kv/high_water_bytes gauges up to date in it;
-  /// null records nothing.
-  obs::Registry* registry = nullptr;
-};
-
-/// Why an acquire() failed — the structured reason retry logic needs:
-/// budget exhaustion is transient (live sequences release bytes as they
-/// finish) while a projection larger than the whole budget is permanent
-/// (callers pre-check that with projected_bytes()).
-enum class KvAdmitReason {
-  kOk,
-  kByteBudget,      ///< projection would push committed bytes over the budget
-  kSlotsExhausted,  ///< every slot is occupied
-};
-
-const char* to_string(KvAdmitReason r);
-
-class KvCachePool {
- public:
-  explicit KvCachePool(KvPoolConfig cfg);
-
-  /// Reserves a slot for a sequence that will use `n_layers` layers and
-  /// grow to at most `projected_positions` cached positions. `n_layers` is
-  /// the sequence's *effective* decode depth — for a request the admission
-  /// ladder degraded to an early exit, the post-degrade exit layer, so a
-  /// degraded request is only ever charged for the layers it touches.
-  /// Returns the slot id, or -1 when no slot is free or the projection
-  /// would exceed the byte budget (the caller queues the request and
-  /// retries later). `reason`, when non-null, reports why a -1 happened
-  /// (kOk on success).
-  int64_t acquire(int64_t projected_positions, int64_t n_layers,
-                  KvAdmitReason* reason = nullptr);
-
-  /// Returns a slot to the pool (its storage is dropped). Reads the slot's
-  /// contents to settle the live-byte accounting immediately — call it only
-  /// from the owning scheduler thread at a tick barrier (the same contract
-  /// as handing the slot to a worker), never while a worker may be
-  /// appending to this slot.
-  void release(int64_t slot);
-
-  nn::KvCache& slot(int64_t id);
-  const nn::KvCache& slot(int64_t id) const;
-
-  /// Re-samples every live slot's actual bytes into the pool's cached
-  /// accounting and advances the high-water mark; returns the new total.
-  /// Reads slot *contents*, so only the owning scheduler thread may call
-  /// it, and only at a tick barrier (no worker appending). The engine
-  /// calls it once per tick.
-  int64_t sync_live_bytes();
-
-  /// Bytes held by live slots as of the last sync_live_bytes() refresh
-  /// (release() removes a slot's contribution immediately). A cached,
-  /// mutex-guarded counter: safe to poll concurrently from any thread.
-  int64_t bytes_in_use() const;
-
-  /// Sum of live slots' projected peak bytes (what admission checks).
-  int64_t committed_bytes() const;
-
-  /// Largest bytes_in_use() ever observed (release() settles a dying
-  /// slot's final bytes into the mark even when no sync ran after its
-  /// last append, so short-lived slots cannot slip under it).
-  int64_t high_water_bytes() const;
-
-  int64_t slots_in_use() const;
-  int64_t capacity() const { return cfg_.n_slots; }
-  int64_t byte_budget() const { return cfg_.byte_budget; }
-
-  /// Projected peak bytes for a sequence (admission arithmetic, exposed
-  /// for callers sizing budgets).
-  int64_t projected_bytes(int64_t positions, int64_t n_layers) const {
-    return positions * nn::KvCache::bytes_per_position(n_layers, cfg_.kv_dim, cfg_.quantize);
-  }
-
- private:
-  KvPoolConfig cfg_;
-
-  // Instruments resolved once at construction (cfg_.registry may be null,
-  // then all stay null and recording is skipped).
-  obs::Counter* c_acquired_ = nullptr;
-  obs::Counter* c_rejected_ = nullptr;
-  obs::Counter* c_released_ = nullptr;
-  obs::Gauge* g_bytes_ = nullptr;
-  obs::Gauge* g_committed_ = nullptr;
-  obs::Gauge* g_high_water_ = nullptr;
-
-  /// Guards occupancy/accounting state below. Mutable so the read-only
-  /// metrics accessors stay const for callers.
-  mutable std::mutex mu_;
-  std::vector<nn::KvCache> slots_;
-  std::vector<bool> in_use_;
-  std::vector<int64_t> reserved_;    ///< per-slot projected bytes
-  std::vector<int64_t> live_bytes_;  ///< per-slot bytes at the last sync
-  int64_t committed_ = 0;
-  int64_t live_total_ = 0;   ///< sum of live_bytes_, what bytes_in_use() reports
-  int64_t high_water_ = 0;   ///< advanced by sync_live_bytes() and release()
-  int64_t in_use_count_ = 0;
-};
-
-// --- Paged pool -------------------------------------------------------------
-
-struct PagedKvConfig {
   int64_t block_tokens = 16;  ///< positions per KV block (power of two not required)
-  int64_t n_layers = 0;       ///< model depth: max layers any sequence may use
-  int64_t kv_dim = 0;         ///< model.config().kv_dim()
   int64_t byte_budget = 0;    ///< cap on allocated block bytes; 0 = unlimited
   bool quantize = false;      ///< int8 blocks (one fp32 scale per row)
   /// Non-owning metrics sink (must outlive the pool): kv/acquired,
@@ -163,6 +55,17 @@ struct PagedKvConfig {
   /// kv/blocks_in_use, kv/blocks_cached gauges; null records nothing.
   obs::Registry* registry = nullptr;
 };
+
+/// Why an acquire() failed — the structured reason retry logic needs:
+/// budget exhaustion is transient (live sequences release bytes as they
+/// finish) while a projection larger than the whole budget is permanent
+/// (callers pre-check that with projected_bytes()).
+enum class KvAdmitReason {
+  kOk,
+  kByteBudget,  ///< reservation would push committed bytes over the budget
+};
+
+const char* to_string(KvAdmitReason r);
 
 /// One fixed-capacity KV block: `block_tokens` positions of K and V rows
 /// for a single layer. Exactly one representation is populated depending
@@ -188,8 +91,8 @@ class PagedKvSeq final : public nn::KvSequenceView {
   void append(int64_t layer, const float* k, const float* v) override;
   void load_k(int64_t layer, int64_t pos, float* out) const override;
   void load_v(int64_t layer, int64_t pos, float* out) const override;
-  const float* k_row(int64_t layer, int64_t pos) const override;
-  const float* v_row(int64_t layer, int64_t pos) const override;
+  /// Walks the block table once: no per-row division.
+  void rows(int64_t layer, int64_t n, const float** k, const float** v) const override;
   int64_t n_layers() const override { return depth_; }
   int64_t kv_dim() const override { return kv_dim_; }
   bool quantized() const override { return quantize_; }
@@ -233,13 +136,13 @@ class PagedKvSeq final : public nn::KvSequenceView {
 };
 
 /// Paged KV pool with cross-request prefix reuse. See file header for the
-/// storage model; the admission contract mirrors KvCachePool's: a request
-/// is reserved its worst-case *incremental* block bytes up front, so block
-/// allocation mid-decode can never fail for an admitted sequence (cached,
-/// unreferenced prefixes are evicted on demand to honor the reservation).
+/// storage model. Admission contract: a request is reserved its worst-case
+/// *incremental* block bytes up front, so block allocation mid-decode can
+/// never fail for an admitted sequence (cached, unreferenced prefixes are
+/// evicted on demand to honor the reservation).
 class PagedKvPool {
  public:
-  explicit PagedKvPool(PagedKvConfig cfg);
+  explicit PagedKvPool(KvPoolConfig cfg);
   ~PagedKvPool();
 
   PagedKvPool(const PagedKvPool&) = delete;
@@ -265,18 +168,18 @@ class PagedKvPool {
 
   /// Returns a sequence. `tokens` must be the ids whose rows the cache
   /// holds, in order (the first seq->positions(0) of prompt + generated
-  /// tokens). With `reuse`, every full owned block is donated to the
-  /// prefix trie for future requests (LRU-evictable once unreferenced);
-  /// without it (failed decodes — contents untrusted) everything owned is
-  /// recycled immediately, `tokens` is ignored, and torn state is
-  /// tolerated: a decode that died mid-tick may have appended to some
-  /// layers but not others, so per-layer block counts may disagree.
-  /// Call at a tick barrier, like KvCachePool::release.
+  /// tokens). With `reuse`, every full owned block is published to the
+  /// prefix trie for future requests (LRU-evictable once unreferenced, and
+  /// evicted LRU-first once the trie exceeds its cap); without it (prefix
+  /// reuse off, or a failed decode whose contents are untrusted)
+  /// everything owned is recycled immediately, `tokens` is ignored, and
+  /// torn state is tolerated: a decode that died mid-tick may have
+  /// appended to some layers but not others, so per-layer block counts may
+  /// disagree. Call at a tick barrier, when no worker is appending.
   void release(PagedKvSeq* seq, const std::vector<int64_t>& tokens, bool reuse);
 
-  /// Worst-case (no prefix hit) projected bytes — block-granular, so it is
-  /// the paged analogue of KvCachePool::projected_bytes for budget sizing
-  /// and the engine's can-this-ever-fit check.
+  /// Worst-case (no prefix hit) projected bytes, block-granular: what
+  /// budget sizing and the engine's can-this-ever-fit check use.
   int64_t projected_bytes(int64_t positions, int64_t n_layers) const;
 
   int64_t block_bytes() const;
@@ -285,7 +188,7 @@ class PagedKvPool {
 
   /// Reserved incremental bytes of live sequences plus bytes of shared
   /// prefix blocks they pin — everything admission must treat as spoken
-  /// for. The paged analogue of KvCachePool::committed_bytes().
+  /// for.
   int64_t committed_bytes() const;
   /// Bytes of all allocated blocks (live-owned + prefix-cached).
   int64_t bytes_in_use() const;
@@ -295,11 +198,18 @@ class PagedKvPool {
   int64_t cached_blocks() const;     ///< held by the prefix trie
   int64_t free_blocks() const;       ///< recycled, awaiting reuse
   int64_t total_blocks() const;      ///< ever constructed (== allocated + free)
+  /// Most blocks the prefix trie keeps once releases are done with it:
+  /// n_slots x ceil(max_seq / block_tokens) x n_layers.
+  int64_t max_cached_blocks() const { return max_cached_blocks_; }
 
-  /// Refreshes the exported gauges; returns bytes_in_use(). Cheap (the
-  /// paged pool's accounting is incremental, not re-sampled), kept for
-  /// call-site symmetry with KvCachePool.
-  int64_t sync_live_bytes();
+  /// Consistency audit for tests and checkers: re-derives from the trie and
+  /// the live sequences what the incremental accounting claims. Every
+  /// allocated block has exactly one owner (a live sequence or a trie
+  /// node) and is not free-listed; each node's refcount equals the live
+  /// sequences pinning it; the allocated, cached, committed and pinned
+  /// counters and the eviction index match. Returns "" when consistent,
+  /// else the first violation. Call at a barrier (reads sequence tables).
+  std::string audit() const;
 
  private:
   friend class PagedKvSeq;
@@ -322,7 +232,7 @@ class PagedKvPool {
   /// Called by PagedKvSeq::append when it needs a fresh block (tail full,
   /// or a copy-on-write fork). Never fails for an admitted sequence: the
   /// reservation covers it and cached blocks are evicted on demand.
-  KvBlock* allocate_block(PagedKvSeq* seq);
+  KvBlock* allocate_block();
   /// Called by PagedKvSeq::truncate: recycles the sequence's owned blocks
   /// past position `n` under the pool mutex. The reservation made at
   /// acquire is untouched — the freed blocks may be re-allocated by the
@@ -331,7 +241,8 @@ class PagedKvPool {
   /// Counter bump from PagedKvSeq::append (atomic, lock-free).
   void count_cow_fork();
 
-  PagedKvConfig cfg_;
+  KvPoolConfig cfg_;
+  int64_t max_cached_blocks_ = 0;
 
   obs::Counter* c_acquired_ = nullptr;
   obs::Counter* c_rejected_ = nullptr;

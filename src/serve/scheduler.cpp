@@ -13,68 +13,30 @@ double elapsed_ms(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+/// The pool's batch width and model dimensions come from the scheduler's
+/// config (zero values throw in the pool).
+KvPoolConfig with_model_dims(KvPoolConfig pool_cfg, const SchedulerConfig& cfg) {
+  pool_cfg.n_slots = cfg.max_batch;
+  pool_cfg.n_layers = cfg.n_layers;
+  pool_cfg.max_seq = cfg.max_seq;
+  return pool_cfg;
+}
+
 }  // namespace
 
-Scheduler::Scheduler(SchedulerConfig cfg, KvPoolConfig pool_cfg) : cfg_(cfg) {
+Scheduler::Scheduler(SchedulerConfig cfg, KvPoolConfig pool_cfg)
+    : cfg_(cfg), pool_(with_model_dims(pool_cfg, cfg)) {
   check_arg(cfg_.max_batch > 0, "Scheduler: max_batch must be positive");
   check_arg(cfg_.queue_capacity > 0, "Scheduler: queue_capacity must be positive");
-  check_arg(cfg_.max_seq > 0 && cfg_.n_layers > 0, "Scheduler: model dims must be positive");
   check_arg(cfg_.max_admission_retries >= 0,
             "Scheduler: max_admission_retries must be >= 0 (0 = unlimited)");
   check_arg(cfg_.retry_backoff_ms >= 0.0, "Scheduler: retry_backoff_ms must be >= 0");
   check_arg(cfg_.degrade_budget_retries >= 0,
             "Scheduler: degrade_budget_retries must be >= 0 (0 = off)");
-  if (pool_cfg.paged) {
-    PagedKvConfig pc;
-    pc.block_tokens = pool_cfg.block_tokens;
-    pc.n_layers = cfg_.n_layers;
-    pc.kv_dim = pool_cfg.kv_dim;
-    pc.byte_budget = pool_cfg.byte_budget;
-    pc.quantize = pool_cfg.quantize;
-    pc.registry = pool_cfg.registry;
-    paged_pool_ = std::make_unique<PagedKvPool>(pc);
-  } else {
-    slot_pool_ = std::make_unique<KvCachePool>(pool_cfg);
-  }
 }
 
-KvCachePool& Scheduler::pool() {
-  check_arg(slot_pool_ != nullptr, "Scheduler::pool: scheduler is paged");
-  return *slot_pool_;
-}
-
-const KvCachePool& Scheduler::pool() const {
-  check_arg(slot_pool_ != nullptr, "Scheduler::pool: scheduler is paged");
-  return *slot_pool_;
-}
-
-int64_t Scheduler::kv_committed_bytes() const {
-  return paged_pool_ ? paged_pool_->committed_bytes() : slot_pool_->committed_bytes();
-}
-
-int64_t Scheduler::kv_bytes_in_use() const {
-  return paged_pool_ ? paged_pool_->bytes_in_use() : slot_pool_->bytes_in_use();
-}
-
-int64_t Scheduler::kv_high_water_bytes() const {
-  return paged_pool_ ? paged_pool_->high_water_bytes() : slot_pool_->high_water_bytes();
-}
-
-int64_t Scheduler::kv_byte_budget() const {
-  return paged_pool_ ? paged_pool_->byte_budget() : slot_pool_->byte_budget();
-}
-
-int64_t Scheduler::kv_projected_bytes(int64_t positions, int64_t n_layers) const {
-  return paged_pool_ ? paged_pool_->projected_bytes(positions, n_layers)
-                     : slot_pool_->projected_bytes(positions, n_layers);
-}
-
-int64_t Scheduler::kv_sync_live_bytes() {
-  return paged_pool_ ? paged_pool_->sync_live_bytes() : slot_pool_->sync_live_bytes();
-}
-
-void Scheduler::release_paged(SeqState& s, bool reuse) {
-  if (s.pseq == nullptr) return;
+void Scheduler::release(SeqState& s, bool reuse) {
+  if (s.kv == nullptr) return;
   // The cached rows hold, in order, the tokens the sequence fed (or reused):
   // the prompt followed by generated tokens, `position` of them — the final
   // sampled token is never cached.
@@ -87,8 +49,7 @@ void Scheduler::release_paged(SeqState& s, bool reuse) {
       toks.push_back(ui < np ? s.req.prompt[ui] : s.out[ui - np]);
     }
   }
-  paged_pool_->release(s.pseq, toks, reuse);
-  s.pseq = nullptr;
+  pool_.release(s.kv, toks, reuse);
   s.kv = nullptr;
 }
 
@@ -146,27 +107,17 @@ Scheduler::AdmitResult Scheduler::admit(int degrade_level, const DegradeLadder& 
     bool ok = false;
     const bool injected = cfg_.fault != nullptr && cfg_.fault->reject_kv_acquire();
     if (!injected) {
-      if (paged_pool_) {
-        // Paged admission reserves only the blocks this request adds after
-        // matching its prompt against the prefix cache; a hit skips the
-        // matched prompt positions outright (they are already cached).
-        PagedKvPool::AcquireResult ar =
-            paged_pool_->acquire(head.req.prompt, projected, head.exit_layer_used);
-        reason = ar.reason;
-        if (ar.seq != nullptr) {
-          head.pseq = ar.seq;
-          head.kv = ar.seq;
-          head.position = ar.prefix_tokens;
-          head.prompt_fed = static_cast<size_t>(ar.prefix_tokens);
-          ok = true;
-        }
-      } else {
-        const int64_t slot = slot_pool_->acquire(projected, head.exit_layer_used, &reason);
-        if (slot >= 0) {
-          head.slot = slot;
-          head.kv = &slot_pool_->slot(slot);
-          ok = true;
-        }
+      // Admission reserves only the blocks this request adds after matching
+      // its prompt against the prefix cache; a hit skips the matched prompt
+      // positions outright (they are already cached).
+      PagedKvPool::AcquireResult ar =
+          pool_.acquire(head.req.prompt, projected, head.exit_layer_used);
+      reason = ar.reason;
+      if (ar.seq != nullptr) {
+        head.kv = ar.seq;
+        head.position = ar.prefix_tokens;
+        head.prompt_fed = static_cast<size_t>(ar.prefix_tokens);
+        ok = true;
       }
     }
     if (!ok) {
@@ -181,7 +132,7 @@ Scheduler::AdmitResult Scheduler::admit(int degrade_level, const DegradeLadder& 
       // before shedding so a degradable head gets its cheaper attempt
       // first; if even the floor keeps bouncing, the retry budget still
       // applies.
-      if (!injected && reason == KvAdmitReason::kByteBudget && !head.force_degrade &&
+      if (!injected && !head.force_degrade &&
           cfg_.degrade_budget_retries > 0 &&
           head.admission_attempts >= cfg_.degrade_budget_retries) {
         head.force_degrade = true;
@@ -202,7 +153,7 @@ Scheduler::AdmitResult Scheduler::admit(int degrade_level, const DegradeLadder& 
             now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                       std::chrono::duration<double, std::milli>(wait_ms));
       }
-      break;  // budget/slots exhausted; keep FIFO order and retry later
+      break;  // budget exhausted; keep FIFO order and retry later
     }
     head.admit_t = now;
     head.admission_attempts = 0;
@@ -253,17 +204,7 @@ std::unique_ptr<SeqState> Scheduler::cancel(int64_t id, bool* found) {
 std::unique_ptr<SeqState> Scheduler::finish(size_t active_index, bool reuse) {
   check_arg(active_index < active_.size(), "Scheduler::finish: index out of range");
   std::unique_ptr<SeqState> s = std::move(active_[active_index]);
-  if (paged_pool_) {
-    // Clean terminals (completions, cancels, timeouts: their cached rows
-    // are valid at the barrier) donate their prefix to the cache for
-    // future requests; failed decodes must pass reuse=false — their
-    // appends may be torn and the rows are untrusted.
-    release_paged(*s, reuse);
-  } else {
-    slot_pool_->release(s->slot);
-    s->slot = -1;
-    s->kv = nullptr;
-  }
+  release(*s, reuse);
   active_.erase(active_.begin() + static_cast<int64_t>(active_index));
   return s;
 }
@@ -274,16 +215,8 @@ void Scheduler::for_each_pending(const std::function<void(SeqState&)>& fn) {
 }
 
 void Scheduler::clear_failed() {
-  for (auto& s : active_) {
-    if (paged_pool_) {
-      // A wedged decode may have left torn rows: never donate them.
-      release_paged(*s, /*reuse=*/false);
-    } else if (s->slot >= 0) {
-      slot_pool_->release(s->slot);
-    }
-    s->slot = -1;
-    s->kv = nullptr;
-  }
+  // A wedged decode may have left torn rows: never publish them.
+  for (auto& s : active_) release(*s, /*reuse=*/false);
   active_.clear();
   queue_.clear();
 }

@@ -226,7 +226,6 @@ TEST(AdmissionEngine, DegradedRequestsAreDeterministicEarlyExitOutputs) {
 TEST(SchedulerDegrade, ForceDegradeAppliesAtStagingEvenWhenPressureSubsides) {
   SchedulerConfig cfg{/*max_batch=*/2, /*queue_capacity=*/4, /*max_seq=*/16, /*n_layers=*/3};
   KvPoolConfig pool;
-  pool.n_slots = 2;
   pool.kv_dim = 16;
   Scheduler sched(cfg, pool);
   const DegradeLadder ladder{/*deep=*/2, /*shallow=*/1};
@@ -265,7 +264,6 @@ TEST(SchedulerDegrade, ForceDegradeAppliesAtStagingEvenWhenPressureSubsides) {
 TEST(SchedulerDegrade, LadderNeverUpgradesAndLevelOneUsesDeepExit) {
   SchedulerConfig cfg{/*max_batch=*/2, /*queue_capacity=*/4, /*max_seq=*/16, /*n_layers=*/3};
   KvPoolConfig pool;
-  pool.n_slots = 2;
   pool.kv_dim = 16;
   Scheduler sched(cfg, pool);
   const DegradeLadder ladder{/*deep=*/2, /*shallow=*/1};

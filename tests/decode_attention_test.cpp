@@ -4,7 +4,8 @@
 // decode path runs it, so its contracts are pinned end to end here:
 //   - decode logits are bitwise identical under scalar and native dispatch
 //     at every cached length 1..max_seq (every panel edge), for MHA and
-//     GQA, fp32 and int8 KV, slot and paged backings;
+//     GQA, fp32 and int8 KV, contiguous ("slot": nn::KvCache) and paged
+//     (serve::PagedKvSeq) storage;
 //   - a multi-row step (chunked prefill, speculative verify) leaves the
 //     same logits and cache rows as feeding its rows one at a time;
 //   - a NaN/Inf in one sequence's cached K/V never reaches another

@@ -1,10 +1,11 @@
 // Paged KV pool: block-table row addressing must be bitwise identical to
 // contiguous KvCache storage, prefix reuse must never leak another
 // sequence's divergent rows (copy-on-write), eviction must conserve the
-// block population under budget pressure, and the serving engine over the
-// paged pool must produce byte-identical greedy output at any thread
-// count. Plus the KV-accounting regressions this change rode in with:
-// release-settled high-water marks and post-degrade admission projections.
+// block population under budget pressure, the prefix trie must stay under
+// its cap without a budget, and the serving engine must produce
+// byte-identical greedy output at any thread count with prefix reuse
+// (kv_paged) off or on. Plus the KV-accounting regressions: allocation-time
+// high-water marks and post-degrade admission projections.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -92,7 +93,10 @@ TEST(PagedKvPool, RowsMatchContiguousCacheBitwise) {
       }
     }
     std::vector<float> a(8), b(8);
+    std::vector<const float*> pk(11), pv(11), rk(11), rv(11);
     for (int64_t l = 0; l < 2; ++l) {
+      r.seq->rows(l, 11, pk.data(), pv.data());
+      ref.rows(l, 11, rk.data(), rv.data());
       for (int64_t pos = 0; pos < 11; ++pos) {
         r.seq->load_k(l, pos, a.data());
         ref.load_k(l, pos, b.data());
@@ -102,12 +106,14 @@ TEST(PagedKvPool, RowsMatchContiguousCacheBitwise) {
         ref.load_v(l, pos, b.data());
         EXPECT_EQ(std::memcmp(a.data(), b.data(), 8 * sizeof(float)), 0)
             << "v layer " << l << " pos " << pos << " quantize " << quantize;
+        const auto p = static_cast<size_t>(pos);
         if (!quantize) {
-          ASSERT_NE(r.seq->k_row(l, pos), nullptr);
-          EXPECT_EQ(std::memcmp(r.seq->k_row(l, pos), ref.k_row(l, pos), 8 * sizeof(float)), 0);
-          EXPECT_EQ(std::memcmp(r.seq->v_row(l, pos), ref.v_row(l, pos), 8 * sizeof(float)), 0);
+          ASSERT_NE(pk[p], nullptr);
+          EXPECT_EQ(std::memcmp(pk[p], rk[p], 8 * sizeof(float)), 0);
+          EXPECT_EQ(std::memcmp(pv[p], rv[p], 8 * sizeof(float)), 0);
         } else {
-          EXPECT_EQ(r.seq->k_row(l, pos), nullptr);
+          EXPECT_EQ(pk[p], nullptr);
+          EXPECT_EQ(pv[p], nullptr);
         }
       }
     }
@@ -335,9 +341,7 @@ TEST(PagedScheduler, FailedFinishRecyclesInsteadOfDonating) {
   scfg.max_seq = 16;
   scfg.n_layers = 2;
   KvPoolConfig pcfg;
-  pcfg.n_slots = 2;
   pcfg.kv_dim = 8;
-  pcfg.paged = true;
   pcfg.block_tokens = 4;
   Scheduler sched(scfg, pcfg);
 
@@ -359,33 +363,63 @@ TEST(PagedScheduler, FailedFinishRecyclesInsteadOfDonating) {
   };
 
   run_one(/*reuse=*/false);  // failed decode: rows untrusted
-  EXPECT_EQ(sched.paged_pool()->cached_blocks(), 0);
-  EXPECT_EQ(sched.paged_pool()->committed_bytes(), 0);
+  EXPECT_EQ(sched.pool().cached_blocks(), 0);
+  EXPECT_EQ(sched.pool().committed_bytes(), 0);
 
   run_one(/*reuse=*/true);  // clean completion donates (8 pos = 2 blocks x 2 layers)
-  EXPECT_EQ(sched.paged_pool()->cached_blocks(), 4);
-  EXPECT_EQ(sched.paged_pool()->committed_bytes(), 0);
+  EXPECT_EQ(sched.pool().cached_blocks(), 4);
+  EXPECT_EQ(sched.pool().committed_bytes(), 0);
 }
 
 // --- KV accounting regressions ----------------------------------------------
 
-// A slot that grows and dies entirely between two sync_live_bytes()
-// barriers must still be visible: release() settles the dying slot's final
-// bytes into the high-water mark immediately.
-TEST(KvCachePoolAccounting, HighWaterSeenWithoutSync) {
-  KvPoolConfig cfg;
+// A sequence that grows and dies entirely between two tick barriers must
+// still be visible: the high-water mark advances at block allocation, with
+// no barrier-time refresh, and survives the release.
+TEST(PagedKvPoolAccounting, HighWaterSeenWithoutSync) {
+  obs::Registry reg;
+  PagedKvPool pool(paged_cfg(2, 1, 16, /*budget=*/0, &reg));
+  auto r = pool.acquire({1}, 4, 1);
+  ASSERT_NE(r.seq, nullptr);
+  feed_positions(*r.seq, 3, 1);  // 3 positions = two 2-token blocks
+  const int64_t live = 2 * pool.block_bytes();
+  EXPECT_EQ(pool.bytes_in_use(), live);
+  EXPECT_EQ(static_cast<int64_t>(reg.gauge("kv/bytes_in_use").value()), live);
+  pool.release(r.seq, {}, /*reuse=*/false);
+  EXPECT_EQ(pool.bytes_in_use(), 0);  // release drops the blocks at once
+  EXPECT_EQ(pool.high_water_bytes(), live);  // mark survives the release
+  EXPECT_EQ(static_cast<int64_t>(reg.gauge("kv/high_water_bytes").value()), live);
+}
+
+// Without a byte budget nothing evicts at allocation time, so publishing
+// releases alone must bound the prefix trie: at most one full batch of
+// full-context sequences (n_slots x ceil(max_seq / block_tokens) x
+// n_layers blocks), LRU-evicted once the cap is reached.
+TEST(PagedKvPool, PrefixTrieStaysUnderCapWithoutBudget) {
+  obs::Registry reg;
+  KvPoolConfig cfg = paged_cfg(8, 6, 64, /*budget=*/0, &reg);
   cfg.n_slots = 2;
-  cfg.kv_dim = 16;
-  KvCachePool pool(cfg);
-  const int64_t s = pool.acquire(4, 1);
-  ASSERT_GE(s, 0);
-  std::vector<float> row(16, 1.0f);
-  pool.slot(s).append(0, row.data(), row.data());
-  pool.slot(s).append(0, row.data(), row.data());
-  // No sync between the appends and the release.
-  pool.release(s);
-  EXPECT_EQ(pool.bytes_in_use(), 0);
-  EXPECT_EQ(pool.high_water_bytes(), 2 * nn::KvCache::bytes_per_position(1, 16, false));
+  cfg.max_seq = 64;
+  PagedKvPool pool(cfg);
+  const int64_t cap = 2 * (64 / 8) * 6;
+  ASSERT_EQ(pool.max_cached_blocks(), cap);
+  for (int64_t i = 0; i < 1000; ++i) {
+    // 56 unique positions: 7 full blocks per layer, nothing shared.
+    std::vector<int64_t> toks(56);
+    for (int64_t p = 0; p < 56; ++p) toks[static_cast<size_t>(p)] = i * 56 + p;
+    auto r = pool.acquire(toks, 56, 6);
+    ASSERT_NE(r.seq, nullptr);
+    ASSERT_EQ(r.prefix_tokens, 0);
+    feed_positions(*r.seq, 56, 6, i);
+    pool.release(r.seq, toks, /*reuse=*/true);
+    ASSERT_LE(pool.cached_blocks(), cap) << "release " << i;
+    ASSERT_LE(pool.bytes_in_use(), cap * pool.block_bytes()) << "release " << i;
+  }
+  EXPECT_GT(reg.counter("kv/evicted_blocks").value(), 0);
+  // The block population is bounded too: the trie's cap plus one live
+  // sequence's blocks, never one allocation per release.
+  EXPECT_LE(pool.total_blocks(), cap + 7 * 6);
+  EXPECT_EQ(pool.audit(), "");
 }
 
 // --- engine over the paged pool ---------------------------------------------
@@ -417,8 +451,9 @@ TEST(PagedEngine, GreedyByteIdenticalToContiguousAtAnyThreadCount) {
   }
 }
 
-// Quantized and voted paths: paged vs slot-pool engines must agree exactly
-// (the reference decoder does not cover these engine configs).
+// Quantized and voted paths: engines with prefix reuse off and on must
+// agree exactly (the reference decoder does not cover these engine
+// configs). The "slot" name is the reuse-off engine.
 TEST(PagedEngine, QuantizedAndVotedMatchSlotPool) {
   const nn::ModelConfig cfg = tiny_config();
   Rng rng(41);
@@ -432,26 +467,35 @@ TEST(PagedEngine, QuantizedAndVotedMatchSlotPool) {
     EngineConfig paged = paged_engine_cfg(2);
     paged.quantize_kv = quantize;
 
-    Completion a, b;
+    // Each engine serves the prompt twice: with reuse on, the repeat reads
+    // its prefix from the (possibly int8) blocks the first one published.
+    Completion a, b, b_repeat;
     {
       ServeEngine engine(model, slot_cfg);
       a = engine.submit(greedy_request(1, prompt, 5, ExitPolicy::kVoted)).get();
+      EXPECT_EQ(engine.submit(greedy_request(2, prompt, 5, ExitPolicy::kVoted)).get().tokens,
+                a.tokens);
+      EXPECT_EQ(engine.registry().counter("kv/prefix_hit").value(), 0);
     }
     {
       ServeEngine engine(model, paged);
       b = engine.submit(greedy_request(1, prompt, 5, ExitPolicy::kVoted)).get();
+      b_repeat = engine.submit(greedy_request(2, prompt, 5, ExitPolicy::kVoted)).get();
+      EXPECT_EQ(engine.registry().counter("kv/prefix_hit").value(), 1);
     }
     EXPECT_EQ(a.status, RequestStatus::kOk);
     EXPECT_EQ(b.status, RequestStatus::kOk);
     EXPECT_EQ(a.tokens, b.tokens) << "quantize " << quantize;
+    EXPECT_EQ(a.tokens, b_repeat.tokens) << "quantize " << quantize;
   }
 }
 
 // Chunked prefill: a prefilling sequence feeds up to prefill_chunk prompt
 // rows in the tick's one batched step, next to decoding sequences. Outputs
 // must equal the reference decoder's in every cell — chunk size x exit
-// policy x KV pool x worker threads — and the tick count must show the
-// chunking: ceil(prompt / chunk) prefill ticks, the last of which samples.
+// policy x prefix reuse (kv_paged off = "slot", on = "paged") x worker
+// threads — and the tick count must show the chunking: ceil(prompt /
+// chunk) prefill ticks, the last of which samples.
 struct PrefillCell {
   int64_t chunk;
   ExitPolicy policy;
@@ -562,8 +606,10 @@ TEST(PagedEngine, DegradedRequestAdmitsWhereFullDepthWouldBeRejected) {
   EngineConfig ecfg;
   ecfg.threads = 1;
   ecfg.queue_capacity = 8;
-  // Budget fits two depth-1 sequences of 8 positions; a full-depth (3
-  // layer) projection of the same request is 3x and can never fit.
+  // Budget fits two depth-1 sequences of 8 positions (two 4-token blocks
+  // each); a full-depth (3 layer) projection of the same request is 3x and
+  // can never fit.
+  ecfg.kv_block_tokens = 4;
   ecfg.kv_byte_budget = 2 * 8 * per_pos_1;
   ecfg.admission.shed_policy = ShedPolicy::kDegradeEarlyExit;
   ecfg.admission.shed_queue_ratio = 0.05;  // second queued request trips it
@@ -630,7 +676,7 @@ TEST(PagedEngine, BudgetStuckHeadDegradesInsteadOfWedging) {
     ecfg.kv_paged = paged;
     ecfg.kv_block_tokens = 4;
     // 8 projected positions: fits at the depth-1 floor (8 blocks-worth),
-    // never at the full 3-layer depth (24) — for either pool backing.
+    // never at the full 3-layer depth (24) — with prefix reuse off or on.
     ecfg.kv_byte_budget = 16 * per_pos_1;
     // A degrade mechanism is configured but its threshold never trips for
     // this lone request, so submit-time pressure cannot save it.

@@ -6,7 +6,7 @@
 //     at any thread count (the backend's core guarantee);
 //   - the matmul/bmm variants propagate NaN/Inf per IEEE semantics
 //     (0 * NaN == NaN), also through exact zeros in sparse operands;
-//   - KvCachePool metrics accessors are safe to poll concurrently (run
+//   - PagedKvPool metrics accessors are safe to poll concurrently (run
 //     under TSan in CI);
 //   - training steps and served greedy decode are bitwise reproducible
 //     across compute-thread counts.
@@ -363,21 +363,23 @@ TEST(Numerics, BmmVariantsPropagateNan) {
   EXPECT_FALSE(std::isnan(gv.at(1, 5, 3)));
 }
 
-// --- KvCachePool concurrent metrics (TSan target) ---------------------------
+// --- KV pool concurrent metrics (TSan target) -------------------------------
 
 // Metrics accessors are const and documented safe to poll from any thread
-// while the scheduler acquires/releases, appends, and refreshes the byte
-// accounting via sync_live_bytes() at its barriers. They read only cached
-// mutex-guarded counters — never slot contents, which are unlocked. A
-// poller hammers every accessor while the main thread plays the
-// scheduler; TSan in CI turns any missing lock into a failure, and the
-// invariant checks catch torn accounting.
-TEST(KvCachePoolThreads, MetricsPollingRacesAcquireRelease) {
+// while the scheduler acquires, appends and releases. They read only
+// mutex-guarded counters — never block contents, which are unlocked. A
+// poller hammers every accessor while the main thread plays the scheduler
+// (its appends allocate blocks under the pool mutex); TSan in CI turns any
+// missing lock into a failure, and the invariant checks catch torn
+// accounting.
+TEST(PagedKvPoolThreads, MetricsPollingRacesAcquireRelease) {
   serve::KvPoolConfig cfg;
   cfg.n_slots = 4;
+  cfg.max_seq = 16;
+  cfg.n_layers = 1;
   cfg.kv_dim = 16;
-  cfg.byte_budget = 0;
-  serve::KvCachePool pool(cfg);
+  cfg.block_tokens = 2;
+  serve::PagedKvPool pool(cfg);
 
   std::atomic<bool> stop{false};
   std::thread poller([&] {
@@ -386,31 +388,33 @@ TEST(KvCachePoolThreads, MetricsPollingRacesAcquireRelease) {
       EXPECT_GE(live, 0);
       EXPECT_GE(pool.committed_bytes(), 0);
       EXPECT_GE(pool.high_water_bytes(), live);  // mark never trails a live read
-      const int64_t used = pool.slots_in_use();
+      const int64_t used = pool.seqs_in_use();
       EXPECT_GE(used, 0);
-      EXPECT_LE(used, 4);
+      EXPECT_LE(used, 2);
     }
   });
 
   std::vector<float> row(16, 1.0f);
   for (int rep = 0; rep < 200; ++rep) {
-    const int64_t a = pool.acquire(4, 1);
-    const int64_t b = pool.acquire(4, 1);
-    ASSERT_GE(a, 0);
-    ASSERT_GE(b, 0);
-    pool.slot(a).append(0, row.data(), row.data());
-    pool.slot(b).append(0, row.data(), row.data());
-    // The scheduler's tick barrier: no appends in flight, so it may read
-    // slot contents to refresh the accounting the poller reads.
-    EXPECT_GT(pool.sync_live_bytes(), 0);
-    pool.release(a);
-    pool.release(b);
+    const std::vector<int64_t> prompt = {rep % 7, 1, 2, 3};
+    auto a = pool.acquire(prompt, 8, 1);
+    auto b = pool.acquire({rep % 5, 4}, 4, 1);
+    ASSERT_NE(a.seq, nullptr);
+    ASSERT_NE(b.seq, nullptr);
+    for (int64_t p = a.seq->positions(0); p < 4; ++p) a.seq->append(0, row.data(), row.data());
+    for (int64_t p = b.seq->positions(0); p < 2; ++p) b.seq->append(0, row.data(), row.data());
+    EXPECT_GT(pool.bytes_in_use(), 0);
+    // One publishes its full blocks to the prefix trie, one recycles.
+    pool.release(a.seq, prompt, /*reuse=*/true);
+    pool.release(b.seq, {}, /*reuse=*/false);
   }
   stop.store(true);
   poller.join();
-  EXPECT_EQ(pool.slots_in_use(), 0);
-  EXPECT_EQ(pool.bytes_in_use(), 0);
+  EXPECT_EQ(pool.seqs_in_use(), 0);
+  EXPECT_EQ(pool.committed_bytes(), 0);
+  EXPECT_EQ(pool.bytes_in_use(), pool.cached_blocks() * pool.block_bytes());
   EXPECT_GT(pool.high_water_bytes(), 0);
+  EXPECT_EQ(pool.audit(), "");
 }
 
 // --- end-to-end determinism across compute-thread counts --------------------

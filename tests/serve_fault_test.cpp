@@ -3,7 +3,7 @@
 // deadline storms, the scheduler-stall watchdog — and the seeded soak
 // harness that drives >= 1000 faulted ticks asserting the engine's
 // survival invariants (every future resolves, counters conserve, no
-// leaked KV slots, no deadlock).
+// leaked KV blocks, no deadlock).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -90,7 +90,7 @@ TEST(ServeEngineFault, WorkerDeathFailsRequestsCleanly) {
   EXPECT_EQ(c2.status, RequestStatus::kFailed);
   EXPECT_NE(c1.error.find("injected worker death"), std::string::npos) << c1.error;
 
-  // The engine survives the dead workers: slots are reclaimed and later
+  // The engine survives the dead workers: caches are reclaimed and later
   // requests still get served once the faults stop.
   const EngineMetrics m = engine.metrics();
   EXPECT_EQ(m.failed, 2);
@@ -98,6 +98,34 @@ TEST(ServeEngineFault, WorkerDeathFailsRequestsCleanly) {
   engine.shutdown();
   EXPECT_EQ(engine.registry().counter("kv/acquired").value(),
             engine.registry().counter("kv/released").value());
+}
+
+// Regression: a request that fails on its very first tick still reports
+// how long it queued. The old guard keyed queue_wait_ms on a held KV slot
+// or a cached position, and a first-tick failure has neither by the time
+// it resolves, so it reported 0.
+TEST(ServeEngineFault, QueueWaitReportedWhenFirstTickFails) {
+  const nn::ModelConfig cfg = tiny_config();
+  Rng rng(70);
+  nn::CausalLm model(cfg, rng);
+  runtime::ServeFaultPlan plan;
+  plan.worker_death_prob = 1.0;  // the first decode tick dies
+  runtime::ServeFaultInjector fault(plan);
+  EngineConfig ecfg;
+  ecfg.threads = 1;
+  ecfg.fault = &fault;
+  ServeEngine engine(model, ecfg);
+
+  engine.pause();
+  auto fut = engine.submit(greedy_request(1, seq_tokens(4, cfg.vocab), 4));
+  constexpr double kQueuedMs = 30.0;
+  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(kQueuedMs));
+  engine.resume();
+  const Completion c = fut.get();
+  EXPECT_EQ(c.status, RequestStatus::kFailed);
+  EXPECT_TRUE(c.tokens.empty());
+  EXPECT_GE(c.metrics.queue_wait_ms, kQueuedMs);
+  EXPECT_GE(c.metrics.total_ms, c.metrics.queue_wait_ms);
 }
 
 TEST(ServeEngineFault, PoisonedLogitsFailTheRequest) {
@@ -366,7 +394,7 @@ void run_faulted_soak(bool paged_kv) {
                              m.expired + m.failed);
   EXPECT_GE(m.ticks, 1000);
   EXPECT_EQ(m.watchdog_fired, 0);
-  // Invariant 3: no leaked KV slots or bytes after drain.
+  // Invariant 3: no leaked KV blocks or bytes after drain.
   EXPECT_EQ(engine.registry().counter("kv/acquired").value(),
             engine.registry().counter("kv/released").value());
   EXPECT_EQ(static_cast<int64_t>(engine.registry().gauge("kv/committed_bytes").value()), 0);
@@ -397,10 +425,11 @@ void run_faulted_soak(bool paged_kv) {
   EXPECT_EQ(resolved, m.submitted);
 }
 
+// The storm with prefix reuse off: every release recycles its blocks.
 TEST(ServeFaultSoak, ThousandFaultedTicksHoldInvariants) { run_faulted_soak(/*paged_kv=*/false); }
 
-// Same seeded storm through the paged pool: block allocation, prefix
-// donation, COW and eviction all run under fault pressure, and the same
+// Same seeded storm with prefix reuse on (kv_paged): prefix publishing,
+// COW and eviction all run under fault pressure, and the same
 // budget/conservation invariants must hold.
 TEST(ServeFaultSoak, ThousandFaultedTicksHoldInvariantsPagedKv) {
   run_faulted_soak(/*paged_kv=*/true);

@@ -2,9 +2,9 @@
 // stacked full-depth pass verifies, with rejected rows rewound out of the
 // KV cache (KvSequenceView::truncate). The load-bearing contract, pinned
 // differentially throughout: speculative greedy output is BYTE-IDENTICAL
-// to non-speculative full-depth greedy decode — across both KV pools, any
-// thread count, fp32 and int8 KV, any draft depth and verify width.
-// Alongside: adversarial truncate tests for both cache backings (mid-block,
+// to non-speculative full-depth greedy decode — with prefix reuse off and
+// on, any thread count, fp32 and int8 KV, any draft depth and verify width.
+// Alongside: adversarial truncate tests for both cache types (mid-block,
 // block boundary, across a COW fork, after a prefix-trie hit) and the
 // engine-level regression that speculative requests reserve KV at the
 // verified-length bound, not prompt + max_new + draft_k.
@@ -437,7 +437,8 @@ TEST(SpeculativeEngine, ProjectionAdmitsRequestThatOnlyFitsAtVerifiedBound) {
   const int64_t bpp = nn::KvCache::bytes_per_position(cfg.n_layers, cfg.kv_dim(), false);
 
   for (const bool paged : {false, true}) {
-    EngineConfig ecfg = paged ? paged_engine_cfg(1, /*block_tokens=*/1) : engine_cfg(1);
+    EngineConfig ecfg = paged ? paged_engine_cfg(1) : engine_cfg(1);
+    ecfg.kv_block_tokens = 1;  // position-exact reservations
     // Exactly the verified bound. With draft_k = 8, a projection of
     // prompt + max_new + k (14 positions, 16 clamped to max_seq) would
     // exceed this budget and reject the request outright.

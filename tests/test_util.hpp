@@ -330,20 +330,24 @@ inline void feed_positions(nn::KvSequenceView& kv, int64_t n, int64_t depth, int
   }
 }
 
-inline serve::KvPoolConfig pool_cfg(int64_t slots, int64_t budget, bool quantize = false,
+/// Scheduler-side pool config (the scheduler fills in the batch width and
+/// model dims).
+inline serve::KvPoolConfig pool_cfg(int64_t budget, int64_t block_tokens = 16,
                                     int64_t kv_dim = 16) {
   serve::KvPoolConfig cfg;
-  cfg.n_slots = slots;
   cfg.kv_dim = kv_dim;
   cfg.byte_budget = budget;
-  cfg.quantize = quantize;
+  cfg.block_tokens = block_tokens;
   return cfg;
 }
 
-inline serve::PagedKvConfig paged_cfg(int64_t block_tokens, int64_t n_layers, int64_t kv_dim,
-                                      int64_t byte_budget, obs::Registry* reg = nullptr,
-                                      bool quantize = false) {
-  serve::PagedKvConfig cfg;
+/// Stand-alone PagedKvPool config. The context window (64) only sizes the
+/// prefix-cache cap, which stays far above what these tests cache.
+inline serve::KvPoolConfig paged_cfg(int64_t block_tokens, int64_t n_layers, int64_t kv_dim,
+                                     int64_t byte_budget, obs::Registry* reg = nullptr,
+                                     bool quantize = false) {
+  serve::KvPoolConfig cfg;
+  cfg.max_seq = 64;
   cfg.block_tokens = block_tokens;
   cfg.n_layers = n_layers;
   cfg.kv_dim = kv_dim;
